@@ -82,11 +82,8 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _load_spec(path: str, out_dir: str) -> ExperimentSpec:
-    spec_dict = json.loads(_read(path))
-    spec = ExperimentSpec.from_dict(spec_dict)
-    spec.outputs = out_dir
-    return spec
+def _load_spec(path: str) -> ExperimentSpec:
+    return ExperimentSpec.from_dict(json.loads(_read(path)))
 
 
 def _cmd_generate(args) -> int:
@@ -119,13 +116,14 @@ def _cmd_theory(args) -> int:
 def _cmd_metrics(args) -> int:
     g = DirectedGraph.from_edge_list(_read(args.infile), n=args.n)
     report = compute_report(g, xmin=args.xmin, with_paths=args.full)
-    json.dump(report.to_dict(), sys.stdout, indent=1, sort_keys=True)
+    json.dump(report.to_dict(), sys.stdout, allow_nan=False, indent=1,
+              sort_keys=True)
     sys.stdout.write("\n")
     return EXIT_OK
 
 
 def _cmd_experiment(args) -> int:
-    spec = _load_spec(args.spec, args.out)
+    spec = _load_spec(args.spec)
     rs = run_batch(spec)
     for path in export_results(rs, args.out):
         print(path, file=sys.stderr)
@@ -133,7 +131,7 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    spec = _load_spec(args.spec, args.out)
+    spec = _load_spec(args.spec)
     p_values = None
     if args.p:
         p_values = [float(tok) for tok in args.p.split(",") if tok.strip()]
@@ -153,8 +151,8 @@ def _cmd_empirical(args) -> int:
     summary = {"n": result.n, "gini": result.gini, "scale": result.scale,
                "target_mean": args.target_mean}
     _atomic_write(os.path.join(args.out, "summary.json"),
-                  json.dumps(summary, indent=1, sort_keys=True) + "\n")
-    print(json.dumps(summary, sort_keys=True))
+                  json.dumps(summary, allow_nan=False, indent=1, sort_keys=True) + "\n")
+    print(json.dumps(summary, allow_nan=False, sort_keys=True))
     return EXIT_OK
 
 

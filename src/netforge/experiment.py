@@ -11,7 +11,6 @@ import json
 import math
 import os
 import tempfile
-import time
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -37,14 +36,19 @@ class ExperimentSpec:
     runs: int = 1
     seed_base: int = 0
     sweep: list[float] | None = None
-    outputs: str | None = None
     emit_plots: bool = False
     xmin: int = DEFAULT_XMIN
     full_metrics: bool = False      # include all-source BFS path statistics per run
 
     def __post_init__(self):
+        for name in ("runs", "seed_base", "xmin"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise SpecError(f"{name} must be an integer, got {value!r}")
         if self.runs < 1:
             raise SpecError(f"runs must be >= 1, got {self.runs}")
+        if self.xmin < 1:
+            raise SpecError(f"xmin must be >= 1, got {self.xmin}")
         # delegate model/parameter validation to FormationConfig; a hybrid
         # sweep spec may leave p unset and take it from the sweep list
         if self.model == "hybrid" and self.p is None and self.sweep:
@@ -86,7 +90,6 @@ class ResultSet:
     pooled_ccdf: list[tuple[int, float]] = field(repr=False, default_factory=list)
     scalar_stats: dict = field(default_factory=dict)
     provenance: dict = field(default_factory=dict)
-    created_at: float = 0.0     # wall clock; in-memory only, never exported
 
     def to_dict(self) -> dict:
         return {
@@ -141,7 +144,6 @@ def run_batch(spec: ExperimentSpec) -> ResultSet:
             "seeds": [spec.seed_base + r for r in range(spec.runs)],
             "tool_version": __version__,
         },
-        created_at=time.time(),
     )
     return rs
 
@@ -244,6 +246,8 @@ def empirical_ingest(text: str, target_mean: float) -> EmpiricalResult:
             if line_no == 1 and not counts:
                 continue        # header row
             raise EmpiricalParseError(line_no, f"non-numeric count {token!r}") from None
+        if not math.isfinite(value):
+            raise EmpiricalParseError(line_no, f"non-finite count {token!r}")
         if value < 0:
             raise EmpiricalParseError(line_no, f"negative count {value}")
         counts.append(value)
@@ -283,7 +287,8 @@ def export_results(rs: ResultSet, out_dir: str, emit_plots: bool | None = None) 
     written = []
 
     path = os.path.join(out_dir, "metrics.json")
-    _atomic_write(path, json.dumps(rs.to_dict(), indent=1, sort_keys=True) + "\n")
+    text = json.dumps(rs.to_dict(), allow_nan=False, indent=1, sort_keys=True)
+    _atomic_write(path, text + "\n")
     written.append(path)
 
     lines = ["rank,mean_indegree"]

@@ -128,8 +128,8 @@ def generate_meritocracy(config: FormationConfig, rng=None,
     if method != "records":
         raise ValueError(f"unknown method {method!r}")
     mat = merit_followee_matrix(n, m, rng)
-    out_adj = [row[row > 0].tolist() for row in mat]
-    return DirectedGraph._from_out_adj(n, out_adj)
+    rows, cols = np.nonzero(mat)
+    return DirectedGraph._from_out_adj(n, rows + 1, mat[rows, cols])
 
 
 # -- Matthew effect ----------------------------------------------------------
@@ -146,26 +146,26 @@ def generate_matthew(config: FormationConfig, rng=None) -> DirectedGraph:
     """
     rng = _rng_for(config, rng)
     n, m = config.n, config.m_cap
-    pool = list(range(1, n + 1))            # virtual self-links
-    out_adj: list[list[int]] = [[] for _ in range(n)]
-    out_sets: list[set[int]] = [set() for _ in range(n)]
+    pool = list(range(1, n + 1))            # virtual self-links, then edge targets
+    followees: list[set[int]] = [set() for _ in range(n)]
+    src: list[int] = []                     # edges in creation order
     unfilled = list(range(1, n + 1))
     u = _Uniforms(rng).next
     while unfilled:
         k = int(u() * len(unfilled))
         i = unfilled[k]
-        mine = out_sets[i - 1]
+        mine = followees[i - 1]
         while True:
             j = pool[int(u() * len(pool))]
             if j != i and j not in mine:
                 break
-        out_adj[i - 1].append(j)
+        src.append(i)
         mine.add(j)
         pool.append(j)
         if len(mine) == m:
             unfilled[k] = unfilled[-1]
             unfilled.pop()
-    return DirectedGraph._from_out_adj(n, out_adj)
+    return DirectedGraph._from_out_adj(n, src, pool[n:])
 
 
 # -- hybrid ------------------------------------------------------------------
@@ -181,10 +181,10 @@ def _event_loop(n: int, m: int, p: float, rng: np.random.Generator) -> DirectedG
     it also retires once it follows the best available node (meritocracy
     equilibrium), since no further event can ever succeed for it.
     """
-    out_adj: list[list[int]] = [[] for _ in range(n)]
-    out_sets: list[set[int]] = [set() for _ in range(n)]
+    followees: list[set[int]] = [set() for _ in range(n)]
+    src: list[int] = []                     # edges in creation order
     best_follow = [n + 2] * (n + 1)         # min followee id per node, sentinel
-    pool = list(range(1, n + 1))
+    pool = list(range(1, n + 1))            # virtual self-links, then edge targets
     active = list(range(1, n + 1))
     pos = {i: k for k, i in enumerate(active)}
     u = _Uniforms(rng).next
@@ -207,21 +207,21 @@ def _event_loop(n: int, m: int, p: float, rng: np.random.Generator) -> DirectedG
             if j >= best_follow[i]:
                 continue                    # no-op event
         else:
-            mine = out_sets[i - 1]
+            mine = followees[i - 1]
             while True:
                 j = pool[int(u() * len(pool))]
                 if j != i and j not in mine:
                     break
-        out_adj[i - 1].append(j)
-        out_sets[i - 1].add(j)
+        src.append(i)
+        followees[i - 1].add(j)
         if j < best_follow[i]:
             best_follow[i] = j
         pool.append(j)
-        if len(out_adj[i - 1]) == m:
+        if len(followees[i - 1]) == m:
             retire(i)
         elif pure_merit and best_follow[i] == (2 if i == 1 else 1):
             retire(i)
-    return DirectedGraph._from_out_adj(n, out_adj)
+    return DirectedGraph._from_out_adj(n, src, pool[n:])
 
 
 def generate_hybrid(config: FormationConfig, rng=None) -> DirectedGraph:
@@ -242,13 +242,9 @@ def generate_er_directed(config: FormationConfig, rng=None) -> DirectedGraph:
     rng = _rng_for(config, rng)
     n = config.n
     q = float(config.density)
-    out_adj: list[list[int]] = [[] for _ in range(n)]
     total = n * (n - 1)
-    if q >= 1.0:
-        for i0 in range(n):
-            out_adj[i0] = [j for j in range(1, n + 1) if j != i0 + 1]
-        return DirectedGraph._from_out_adj(n, out_adj)
-    if q > 0.0:
+    hit = np.arange(total if q >= 1.0 else 0)     # every pair index, or none
+    if 0.0 < q < 1.0:
         positions = []
         pos = -1
         batch = max(64, int(1.2 * total * q) + 16)
@@ -261,12 +257,10 @@ def generate_er_directed(config: FormationConfig, rng=None) -> DirectedGraph:
                 break
             pos = int(steps[-1])
         hit = np.concatenate(positions)
-        src = hit // (n - 1)
-        rem = hit % (n - 1)
-        dst = rem + (rem >= src)
-        for i0, j0 in zip(src.tolist(), dst.tolist()):
-            out_adj[i0].append(j0 + 1)
-    return DirectedGraph._from_out_adj(n, out_adj)
+    src = hit // (n - 1)
+    rem = hit % (n - 1)
+    dst = rem + (rem >= src)
+    return DirectedGraph._from_out_adj(n, src + 1, dst + 1)
 
 
 _GENERATORS = {

@@ -1,17 +1,30 @@
-"""Directed-graph container with append-only edges and edge-list round-tripping.
+"""Immutable directed graph in compressed sparse row (CSR) form, with
+edge-list round-tripping.
 
 Node ids are 1-based and double as the quality ranking (1 = highest quality).
-Edges are never removed; generators only append. After generation the graph
-is treated as immutable by all metrics code.
+The out-links of node i are ``indices[indptr[i-1]:indptr[i]]`` (1-based
+targets, in the order the generator created them); ``in_degree[k]`` counts
+the links into node k+1. Every graph is built once, from its edges, by
+``DirectedGraph._from_out_adj``, which enforces the structural rules; the
+arrays are read-only afterwards.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+_ID_LIMIT = 2 ** 62     # node ids stay clear of int64 overflow
+
 
 class GraphError(ValueError):
-    """Structural violation: bad size, self-loop, duplicate edge, id out of range."""
+    """Structural violation: bad size, self-loop, duplicate edge, id out of range.
+
+    ``edge`` is the 0-based position of the offending edge in the input order,
+    or None when the error is not about one edge."""
+
+    def __init__(self, message: str, edge: int | None = None):
+        super().__init__(message)
+        self.edge = edge
 
 
 class EdgeListParseError(GraphError):
@@ -22,85 +35,79 @@ class EdgeListParseError(GraphError):
         self.line_no = line_no
 
 
+def _check_edges(n: int, src: np.ndarray, dst: np.ndarray) -> None:
+    """Raise GraphError for the first edge, in the given order, that has an id
+    outside [1, n], is a self-loop or repeats an earlier edge."""
+    outside = (src < 1) | (src > n) | (dst < 1) | (dst > n)
+    # clipped ids keep the key in range; a key shared with an out-of-range
+    # edge can only mark an edge that comes after it
+    key = np.clip(src, 0, n + 1) * (n + 2) + np.clip(dst, 0, n + 1)
+    order = np.argsort(key, kind="stable")
+    repeat = np.zeros(len(key), dtype=bool)
+    repeat[order[1:]] = key[order[1:]] == key[order[:-1]]
+    bad = np.flatnonzero(outside | (src == dst) | repeat)
+    if not len(bad):
+        return
+    k = int(bad[0])
+    i, j = int(src[k]), int(dst[k])
+    if outside[k]:
+        message = f"node id {i if not 1 <= i <= n else j} outside [1, {n}]"
+    elif i == j:
+        message = f"self-loop ({i},{j}) rejected"
+    else:
+        message = f"duplicate edge ({i},{j}) rejected"
+    raise GraphError(message, edge=k)
+
+
 class DirectedGraph:
-    __slots__ = ("n", "out_adj", "in_degree", "edge_count", "_out_sets")
+    __slots__ = ("n", "indptr", "indices", "in_degree")
 
-    def __init__(self, n: int):
-        if not isinstance(n, (int, np.integer)) or n < 2:
-            raise GraphError(f"node count must be an integer >= 2, got {n!r}")
-        self.n = int(n)
-        self.out_adj: list[list[int]] = [[] for _ in range(self.n)]
-        self._out_sets: list[set[int]] = [set() for _ in range(self.n)]
-        self.in_degree: list[int] = [0] * self.n
-        self.edge_count = 0
+    @property
+    def edge_count(self) -> int:
+        return len(self.indices)
 
-    def _check_id(self, v: int) -> None:
-        if not 1 <= v <= self.n:
-            raise GraphError(f"node id {v} outside [1, {self.n}]")
-
-    def has_edge(self, i: int, j: int) -> bool:
-        self._check_id(i)
-        self._check_id(j)
-        return j in self._out_sets[i - 1]
-
-    def add_edge(self, i: int, j: int) -> None:
-        self._check_id(i)
-        self._check_id(j)
-        if i == j:
-            raise GraphError(f"self-loop ({i},{j}) rejected")
-        if j in self._out_sets[i - 1]:
-            raise GraphError(f"duplicate edge ({i},{j}) rejected")
-        self.out_adj[i - 1].append(j)
-        self._out_sets[i - 1].add(j)
-        self.in_degree[j - 1] += 1
-        self.edge_count += 1
-
-    def out_degree(self, i: int) -> int:
-        self._check_id(i)
-        return len(self.out_adj[i - 1])
+    def _sources(self) -> np.ndarray:
+        """Source id of each entry of indices."""
+        return np.repeat(np.arange(1, self.n + 1), np.diff(self.indptr))
 
     def edges(self):
         """Yield (source, target) pairs in node order, insertion order within node."""
-        for i, targets in enumerate(self.out_adj, start=1):
-            for j in targets:
-                yield i, j
+        return zip(self._sources().tolist(), self.indices.tolist())
 
     def degrees_snapshot(self) -> tuple[np.ndarray, np.ndarray]:
         """Return (in_degree, out_degree) vectors, index k = node k+1."""
-        ins = np.array(self.in_degree, dtype=np.int64)
-        outs = np.array([len(t) for t in self.out_adj], dtype=np.int64)
-        return ins, outs
+        return self.in_degree, np.diff(self.indptr)
 
     def check_invariants(self) -> None:
-        """Full recount of the maintained counters; raises GraphError on mismatch."""
-        recount = [0] * self.n
-        total = 0
-        for i, targets in enumerate(self.out_adj, start=1):
-            if len(targets) != len(self._out_sets[i - 1]):
-                raise GraphError(f"node {i}: duplicate targets in out_adj")
-            for j in targets:
-                if j == i:
-                    raise GraphError(f"node {i}: self-loop present")
-                self._check_id(j)
-                recount[j - 1] += 1
-                total += 1
-        if total != self.edge_count:
-            raise GraphError(f"edge_count {self.edge_count} != recount {total}")
-        if recount != self.in_degree:
-            raise GraphError("in_degree vector inconsistent with out_adj recount")
+        """Re-check the stored arrays against the construction rules and
+        recount in_degree; raises GraphError on any mismatch."""
+        n, indptr = self.n, self.indptr
+        if (len(indptr) != n + 1 or indptr[0] != 0 or indptr[-1] != len(self.indices)
+                or np.any(np.diff(indptr) < 0)):
+            raise GraphError("indptr is not a CSR row pointer over indices")
+        _check_edges(n, self._sources(), self.indices)
+        if not np.array_equal(np.bincount(self.indices, minlength=n + 1)[1:],
+                              self.in_degree):
+            raise GraphError("in_degree vector inconsistent with recount")
 
     # -- serialization ------------------------------------------------------
 
     def to_edge_list(self) -> str:
         """One "source,target" line per edge; node order, insertion order within node."""
-        return "".join(f"{i},{j}\n" for i, j in self.edges())
+        pairs = np.column_stack((self._sources(), self.indices)).ravel()
+        return ("%d,%d\n" * self.edge_count) % tuple(pairs.tolist())
 
     @classmethod
     def from_edge_list(cls, text: str, n: int | None = None) -> "DirectedGraph":
-        """Parse edge-list text. When n is omitted it is inferred from the max id."""
-        pairs: list[tuple[int, int, int]] = []
-        max_id = 0
-        for line_no, raw in enumerate(text.splitlines(), start=1):
+        """Parse edge-list text. When n is omitted it is inferred from the max id.
+
+        Every line is parsed before any structural rule is applied, so a
+        malformed line is reported before an out-of-range, self-loop or
+        duplicate edge; among the latter the first line in file order wins."""
+        src: list[int] = []
+        dst: list[int] = []
+        lines = text.splitlines()
+        for line_no, raw in enumerate(lines, start=1):
             line = raw.strip()
             if not line:
                 continue
@@ -111,40 +118,44 @@ class DirectedGraph:
                 i, j = int(parts[0]), int(parts[1])
             except ValueError:
                 raise EdgeListParseError(line_no, f"non-integer id in {raw!r}") from None
-            if i < 1 or j < 1:
-                raise EdgeListParseError(line_no, f"ids must be >= 1, got {raw!r}")
-            pairs.append((line_no, i, j))
-            max_id = max(max_id, i, j)
+            if not (1 <= i < _ID_LIMIT and 1 <= j < _ID_LIMIT):
+                raise EdgeListParseError(line_no, f"ids must be in [1, 2**62), got {raw!r}")
+            src.append(i)
+            dst.append(j)
         if n is None:
-            n = max(max_id, 2)
-        g = cls(n)
-        for line_no, i, j in pairs:
-            try:
-                g.add_edge(i, j)
-            except GraphError as exc:
-                raise EdgeListParseError(line_no, str(exc)) from None
-        return g
+            n = max(max(src, default=0), max(dst, default=0), 2)
+        try:
+            return cls._from_out_adj(n, src, dst)
+        except GraphError as exc:
+            if exc.edge is None:
+                raise
+            line_no = [k for k, raw in enumerate(lines, start=1) if raw.strip()][exc.edge]
+            raise EdgeListParseError(line_no, str(exc)) from None
 
-    # -- fast construction for generators -----------------------------------
+    # -- the one constructor ------------------------------------------------
 
     @classmethod
-    def _from_out_adj(cls, n: int, out_adj: list[list[int]]) -> "DirectedGraph":
-        """Adopt prebuilt adjacency lists (trusted generator output)."""
-        g = cls(n)
-        flat: list[int] = []
-        for i0, targets in enumerate(out_adj):
-            ts = [int(j) for j in targets]
-            g.out_adj[i0] = ts
-            g._out_sets[i0] = set(ts)
-            if len(g._out_sets[i0]) != len(ts) or (i0 + 1) in g._out_sets[i0]:
-                raise GraphError(f"node {i0 + 1}: bad generator output")
-            flat.extend(ts)
-        indeg = np.bincount(np.asarray(flat, dtype=np.int64), minlength=n + 1)
-        if len(indeg) > n + 1 or (len(flat) and min(flat) < 1):
-            raise GraphError("target id outside [1, n] in generator output")
-        g.in_degree = indeg[1:].tolist()
-        g.edge_count = len(flat)
+    def _from_out_adj(cls, n: int, src, dst) -> "DirectedGraph":
+        """Build the graph on nodes 1..n with edges (src[k], dst[k]), listed in
+        creation order. Raises GraphError for a bad n or for the first edge
+        that breaks a rule (see `_check_edges`)."""
+        if not isinstance(n, (int, np.integer)) or n < 2:
+            raise GraphError(f"node count must be an integer >= 2, got {n!r}")
+        n = int(n)
+        src = np.asarray(src, dtype=np.int64)
+        dst = np.asarray(dst, dtype=np.int64)
+        _check_edges(n, src, dst)
+        order = np.argsort(src, kind="stable")
+        src, dst = src[order], dst[order]
+        g = cls.__new__(cls)
+        g.n = n
+        g.indptr = np.cumsum(np.bincount(src, minlength=n + 1))
+        g.indices = dst
+        g.in_degree = np.bincount(dst, minlength=n + 1)[1:]
+        for a in (g.indptr, g.indices, g.in_degree):
+            a.flags.writeable = False
         return g
 
     def __repr__(self) -> str:
         return f"DirectedGraph(n={self.n}, edges={self.edge_count})"
+

@@ -8,7 +8,7 @@ All operations are read-only; graphs are treated as immutable.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -25,12 +25,9 @@ class InsufficientDataError(ValueError):
 
 
 def adjacency_csr(g: DirectedGraph) -> csr_matrix:
-    rows, cols = [], []
-    for i, j in g.edges():
-        rows.append(i - 1)
-        cols.append(j - 1)
-    data = np.ones(len(rows), dtype=np.float64)
-    return csr_matrix((data, (rows, cols)), shape=(g.n, g.n))
+    """0-based adjacency matrix; entry (i-1, j-1) is 1.0 for each edge (i, j)."""
+    return csr_matrix((np.ones(g.edge_count), g.indices - 1, g.indptr),
+                      shape=(g.n, g.n))
 
 
 def degree_distribution(indegrees) -> tuple[dict[int, int], list[tuple[int, float]]]:
@@ -53,7 +50,10 @@ def degree_distribution(indegrees) -> tuple[dict[int, int], list[tuple[int, floa
 def fit_power_law(indegrees, xmin: int = DEFAULT_XMIN) -> float:
     """Discrete power-law exponent by the continuous-MLE approximation:
     alpha = 1 + n_tail / sum(log(d / (xmin - 0.5))) over observations >= xmin.
-    Deterministic for fixed input. Requires at least 50 tail observations."""
+    Deterministic for fixed input. Requires xmin >= 1 and at least 50 tail
+    observations."""
+    if xmin < 1:
+        raise ValueError(f"xmin must be >= 1, got {xmin!r}")
     d = np.asarray(indegrees, dtype=float)
     tail = d[d >= xmin]
     if len(tail) < 50:
@@ -115,23 +115,6 @@ def path_stats(g: DirectedGraph, chunk: int = 1024) -> PathStats:
     return PathStats(diameter, total / count)
 
 
-def sampled_path_stats(g: DirectedGraph, sources: int, rng=None) -> PathStats:
-    """Approximate variant for very large graphs: BFS from a random subset of
-    sources. Labeled approximate wherever reported."""
-    rng = np.random.default_rng(0) if rng is None else rng
-    if g.edge_count == 0:
-        return PathStats(None, None)
-    adj = adjacency_csr(g)
-    idx = rng.choice(g.n, size=min(sources, g.n), replace=False)
-    dist = dijkstra(adj, indices=idx, unweighted=True)
-    finite = np.isfinite(dist)
-    finite[np.arange(len(idx)), idx] = False
-    vals = dist[finite]
-    if len(vals) == 0:
-        return PathStats(None, None)
-    return PathStats(int(vals.max()), float(vals.mean()))
-
-
 def clustering(g: DirectedGraph) -> tuple[np.ndarray, float]:
     """Directed clustering from the symmetrized weight b_ij = a_ij + a_ji:
 
@@ -159,41 +142,35 @@ def rank_curve(indegrees) -> list[tuple[int, int]]:
 
 @dataclass
 class MetricsReport:
-    degree_histogram: dict[int, int]
-    ccdf: list[tuple[int, float]]
+    degree_histogram: dict[int, int]    # in-degree -> node count
     alpha_hat: float | None
     xmin_used: int
     gini: float
     diameter: int | None
     avg_path_length: float | None
     avg_clustering: float | None
-    rank_curve: list[int] = field(default_factory=list)  # sorted in-degrees, descending
 
     def to_dict(self) -> dict:
         return {
             "degree_histogram": {str(k): v for k, v in self.degree_histogram.items()},
-            "ccdf": [[int(d), p] for d, p in self.ccdf],
             "alpha_hat": self.alpha_hat,
             "xmin_used": self.xmin_used,
             "gini": self.gini,
             "diameter": self.diameter,
             "avg_path_length": self.avg_path_length,
             "avg_clustering": self.avg_clustering,
-            "rank_curve": self.rank_curve,
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "MetricsReport":
         return cls(
             degree_histogram={int(k): v for k, v in d["degree_histogram"].items()},
-            ccdf=[(int(x), p) for x, p in d["ccdf"]],
             alpha_hat=d["alpha_hat"],
             xmin_used=d["xmin_used"],
             gini=d["gini"],
             diameter=d["diameter"],
             avg_path_length=d["avg_path_length"],
             avg_clustering=d["avg_clustering"],
-            rank_curve=list(d["rank_curve"]),
         )
 
 
@@ -203,7 +180,7 @@ def compute_report(g: DirectedGraph, xmin: int = DEFAULT_XMIN,
     """Assemble a MetricsReport. Path statistics are opt-in (all-source BFS is
     the expensive part); alpha_hat is None when the tail is too small."""
     indeg, _ = g.degrees_snapshot()
-    hist, ccdf = degree_distribution(indeg)
+    hist, _ = degree_distribution(indeg)
     try:
         alpha = fit_power_law(indeg, xmin=xmin)
     except InsufficientDataError:
@@ -213,12 +190,10 @@ def compute_report(g: DirectedGraph, xmin: int = DEFAULT_XMIN,
     avg_c = clustering(g)[1] if with_clustering else None
     return MetricsReport(
         degree_histogram=hist,
-        ccdf=ccdf,
         alpha_hat=alpha,
         xmin_used=xmin,
         gini=g_coef,
         diameter=diam,
         avg_path_length=apl,
         avg_clustering=avg_c,
-        rank_curve=sorted(indeg.tolist(), reverse=True),
     )

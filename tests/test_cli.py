@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -79,6 +80,15 @@ class TestMetrics:
         assert rep["degree_histogram"] == {"0": 1, "1": 1, "2": 1}
         assert rep["alpha_hat"] is None
 
+    def test_xmin_below_one_exit_1(self, tmp_path, capsys):
+        edges = tmp_path / "g.csv"
+        edges.write_text("".join(f"{i},1\n" for i in range(2, 80)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "metrics", "--in", str(edges), "--xmin", "0")
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "xmin" in err
+
     def test_missing_file_exit_2(self, capsys):
         code, _, err = run(capsys, "metrics", "--in", "/nonexistent/file.csv")
         assert code == 2 and "i/o error" in err
@@ -129,6 +139,27 @@ class TestExperiment:
                            "--out", str(tmp_path / "o"))
         assert code == 1 and "unknown spec keys" in err
 
+    def test_same_spec_two_dirs_byte_identical(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"model": "matthew", "n": 40, "m_cap": 2,
+                                    "runs": 2, "seed_base": 3}))
+        for name in ("a", "b"):
+            assert run(capsys, "experiment", "--spec", str(spec),
+                       "--out", str(tmp_path / name))[0] == 0
+        assert ((tmp_path / "a" / "metrics.json").read_bytes()
+                == (tmp_path / "b" / "metrics.json").read_bytes())
+
+    @pytest.mark.parametrize("key,value", [("runs", "3"), ("runs", 2.5),
+                                           ("runs", True), ("seed_base", "a")])
+    def test_mistyped_spec_field_exit_1(self, tmp_path, capsys, key, value):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"model": "matthew", "n": 10, key: value}))
+        code, _, err = run(capsys, "experiment", "--spec", str(spec),
+                           "--out", str(tmp_path / "o"))
+        assert code == 1
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert "Traceback" not in err and key in err
+
     def test_invalid_json_exit_1(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"
         spec.write_text("{not json")
@@ -156,3 +187,12 @@ class TestEmpirical:
         code, _, err = run(capsys, "empirical", "--in", str(data),
                            "--target-mean", "5", "--out", str(tmp_path / "o"))
         assert code == 1 and "line 2" in err
+
+    def test_non_finite_count_exit_1(self, tmp_path, capsys):
+        data = tmp_path / "counts.csv"
+        data.write_text("1\nnan\n3\n")
+        out_dir = tmp_path / "out"
+        code, out, err = run(capsys, "empirical", "--in", str(data),
+                             "--target-mean", "5", "--out", str(out_dir))
+        assert code == 1 and "line 2" in err and out == ""
+        assert not (out_dir / "summary.json").exists()

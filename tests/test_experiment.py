@@ -28,6 +28,13 @@ class TestSpec:
         with pytest.raises(SpecError):
             spec(runs=0)
 
+    @pytest.mark.parametrize("key,value", [("runs", "3"), ("runs", 2.5), ("runs", True),
+                                           ("seed_base", "a"), ("seed_base", 1.0),
+                                           ("xmin", "10"), ("xmin", False), ("xmin", 0)])
+    def test_non_integer_fields_rejected(self, key, value):
+        with pytest.raises(SpecError, match=key):
+            spec(**{key: value})
+
     def test_bad_model_params(self):
         with pytest.raises(SpecError):
             spec(model="hybrid")            # p missing, no sweep
@@ -68,7 +75,9 @@ class TestRunBatch:
 
     def test_single_run_curves_match_report(self):
         rs = run_batch(spec(runs=1))
-        assert rs.mean_rank_curve.tolist() == rs.reports[0].rank_curve
+        hist = rs.reports[0].degree_histogram
+        degrees = np.repeat(list(hist), list(hist.values()))
+        assert rs.mean_rank_curve.tolist() == sorted(degrees.tolist(), reverse=True)
 
     def test_scalar_stats(self):
         rs = run_batch(spec())
@@ -97,6 +106,13 @@ class TestExports:
         meta = json.loads((tmp_path / "metrics.json").read_text())
         assert "created_at" not in json.dumps(meta)
         assert meta["provenance"]["spec"]["model"] == "matthew"
+
+    def test_nan_never_written(self, tmp_path):
+        rs = run_batch(spec())
+        rs.scalar_stats["gini"]["mean"] = float("nan")
+        with pytest.raises(ValueError):
+            export_results(rs, str(tmp_path))
+        assert not (tmp_path / "metrics.json").exists()
 
     def test_byte_identical_reexport(self, tmp_path):
         d1, d2 = tmp_path / "a", tmp_path / "b"
@@ -179,3 +195,9 @@ class TestEmpiricalIngest:
             empirical_ingest("", target_mean=1.0)
         with pytest.raises(EmpiricalParseError, match="zero"):
             empirical_ingest("0\n0\n", target_mean=1.0)
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "NaN", "Infinity"])
+    def test_non_finite_rejected(self, token):
+        with pytest.raises(EmpiricalParseError, match="non-finite") as exc:
+            empirical_ingest(f"user,followers\na,3\nb,{token}\n", target_mean=1.0)
+        assert exc.value.line_no == 3

@@ -11,6 +11,11 @@ def cfg(**kw):
     return FormationConfig(**kw)
 
 
+def followees(g):
+    """Per-node target lists, node order, creation order within each."""
+    return [g.indices[a:b].tolist() for a, b in zip(g.indptr[:-1], g.indptr[1:])]
+
+
 class TestConfig:
     def test_unknown_model(self):
         with pytest.raises(ConfigError):
@@ -47,15 +52,14 @@ class TestMeritocracy:
         g = generate_meritocracy(cfg(model="meritocracy", n=40, m_cap=3, seed=9),
                                  method=method)
         g.check_invariants()
-        for i in range(1, 41):
-            followees = g._out_sets[i - 1]
+        for i, targets in enumerate(followees(g), start=1):
             best = 2 if i == 1 else 1
-            assert best in followees or len(followees) == 3
-            assert 1 <= len(followees) <= 3
+            assert best in targets or len(targets) == 3
+            assert 1 <= len(targets) <= 3
 
     def test_records_strictly_decreasing(self):
         g = generate_meritocracy(cfg(model="meritocracy", n=200, m_cap=5, seed=3))
-        for targets in g.out_adj:
+        for targets in followees(g):
             assert all(a > b for a, b in zip(targets, targets[1:]))
 
     def test_matches_oracle_mean(self):
@@ -99,7 +103,7 @@ class TestMatthew:
         g = generate_matthew(cfg(model="matthew", n=n, m_cap=m, seed=1))
         g.check_invariants()
         assert g.edge_count == m * n
-        assert all(len(t) == m for t in g.out_adj)
+        assert all(len(t) == m for t in followees(g))
 
     def test_first_draw_uniform(self):
         # with all in-degrees zero every node carries weight 1: the first
@@ -135,7 +139,7 @@ class TestHybrid:
         ms = np.sort(mt / runs)
         assert np.allclose(hs, ms, rtol=0.1, atol=0.15)
         assert all(len(t) == m for t in
-                   generate_hybrid(FormationConfig(model="hybrid", p=0.0, **base)).out_adj)
+                   followees(generate_hybrid(FormationConfig(model="hybrid", p=0.0, **base))))
 
     def test_endpoint_p1_matches_meritocracy(self):
         n, m, runs = 30, 3, 2000
@@ -152,7 +156,7 @@ class TestHybrid:
     def test_all_invariants_mid_p(self):
         g = generate_hybrid(cfg(model="hybrid", n=100, m_cap=4, p=0.6, seed=7))
         g.check_invariants()
-        assert all(len(t) <= 4 for t in g.out_adj)
+        assert all(len(t) <= 4 for t in followees(g))
         assert g.edge_count == 400   # p < 1 terminates at full out-degree
 
 

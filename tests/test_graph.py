@@ -6,70 +6,102 @@ from hypothesis import strategies as st
 from netforge import DirectedGraph, EdgeListParseError, GraphError
 
 
+def graph(n, edges):
+    return DirectedGraph.from_edge_list("".join(f"{i},{j}\n" for i, j in edges), n=n)
+
+
 def test_new_empty():
-    g = DirectedGraph(2)
+    g = graph(2, [])
     assert g.edge_count == 0
-    assert g.in_degree == [0, 0]
-    assert DirectedGraph(10000).edge_count == 0
+    assert g.in_degree.tolist() == [0, 0]
+    assert graph(10000, []).edge_count == 0
 
 
 @pytest.mark.parametrize("n", [1, 0, -3])
 def test_too_small_rejected(n):
     with pytest.raises(GraphError):
-        DirectedGraph(n)
+        graph(n, [])
+    with pytest.raises(GraphError):
+        DirectedGraph._from_out_adj(n, [], [])
 
 
-def test_add_edge_basic():
-    g = DirectedGraph(3)
-    g.add_edge(1, 2)
+def test_single_edge_basic():
+    g = graph(3, [(1, 2)])
     assert g.edge_count == 1
     assert g.in_degree[1] == 1
-    assert g.has_edge(1, 2) and not g.has_edge(2, 1)
+    assert list(g.edges()) == [(1, 2)]
+    assert g.indptr.tolist() == [0, 1, 1, 1] and g.indices.tolist() == [2]
 
 
 def test_duplicate_and_self_loop_rejected():
-    g = DirectedGraph(3)
-    g.add_edge(1, 2)
+    with pytest.raises(GraphError) as exc:
+        DirectedGraph._from_out_adj(3, [1, 2, 1], [2, 1, 2])
+    assert exc.value.edge == 2 and "duplicate" in str(exc.value)
+    with pytest.raises(GraphError) as exc:
+        DirectedGraph._from_out_adj(3, [1, 3], [2, 3])
+    assert exc.value.edge == 1 and "self-loop" in str(exc.value)
     with pytest.raises(GraphError):
-        g.add_edge(1, 2)
+        graph(3, [(1, 2), (1, 2)])
     with pytest.raises(GraphError):
-        g.add_edge(3, 3)
+        graph(3, [(3, 3)])
 
 
 def test_out_of_range_rejected():
-    g = DirectedGraph(3)
+    for src, dst in [([1], [4]), ([0], [1]), ([1, 4], [2, 1])]:
+        with pytest.raises(GraphError) as exc:
+            DirectedGraph._from_out_adj(3, src, dst)
+        assert exc.value.edge == len(src) - 1 and "outside" in str(exc.value)
     with pytest.raises(GraphError):
-        g.add_edge(1, 4)
-    with pytest.raises(GraphError):
-        g.add_edge(0, 1)
+        graph(3, [(1, 4)])
 
 
 def test_degrees_snapshot():
-    g = DirectedGraph(2)
-    g.add_edge(1, 2)
-    g.add_edge(2, 1)
+    g = graph(2, [(1, 2), (2, 1)])
     ins, outs = g.degrees_snapshot()
     assert ins.tolist() == [1, 1] and outs.tolist() == [1, 1]
 
-    star = DirectedGraph(5)
-    for k in range(2, 6):
-        star.add_edge(k, 1)
+    star = graph(5, [(k, 1) for k in range(2, 6)])
     ins, outs = star.degrees_snapshot()
     assert ins[0] == 4 and outs.sum() == ins.sum() == star.edge_count
 
-    empty = DirectedGraph(4)
+    empty = graph(4, [])
     ins, outs = empty.degrees_snapshot()
     assert not ins.any() and not outs.any()
 
 
+def test_arrays_read_only():
+    g = graph(3, [(2, 1), (1, 3)])
+    for a in (g.indptr, g.indices, g.in_degree):
+        with pytest.raises(ValueError):
+            a[0] = 7
+
+
 def test_edge_list_round_trip():
-    g = DirectedGraph(2)
-    g.add_edge(1, 2)
-    g.add_edge(2, 1)
+    g = graph(2, [(1, 2), (2, 1)])
     text = g.to_edge_list()
     assert text == "1,2\n2,1\n"
     g2 = DirectedGraph.from_edge_list(text, n=2)
     assert g2.to_edge_list() == text
+
+
+def test_insertion_order_kept_within_source():
+    g = DirectedGraph._from_out_adj(4, [3, 1, 3, 1], [4, 3, 1, 2])
+    assert list(g.edges()) == [(1, 3), (1, 2), (3, 4), (3, 1)]
+    g.check_invariants()
+
+
+def test_check_invariants_detects_corruption():
+    g = graph(3, [(1, 2), (2, 3)])
+    g.in_degree = np.array([0, 1, 2])
+    with pytest.raises(GraphError, match="in_degree"):
+        g.check_invariants()
+    g = graph(3, [(1, 2), (2, 3)])
+    g.indices = np.array([2, 2])
+    with pytest.raises(GraphError, match="self-loop"):
+        g.check_invariants()
+    g.indptr = np.array([0, 2, 1, 2])
+    with pytest.raises(GraphError, match="indptr"):
+        g.check_invariants()
 
 
 def test_parse_errors_carry_line_number():
@@ -101,18 +133,16 @@ def random_graphs(draw):
     pairs = draw(st.sets(
         st.tuples(st.integers(1, n), st.integers(1, n)).filter(lambda t: t[0] != t[1]),
         max_size=30))
-    g = DirectedGraph(n)
-    for i, j in sorted(pairs):
-        g.add_edge(i, j)
-    return g
+    return graph(n, sorted(pairs))
 
 
 @settings(max_examples=100, deadline=None)
 @given(random_graphs())
 def test_round_trip_is_identity(g):
     g2 = DirectedGraph.from_edge_list(g.to_edge_list(), n=g.n)
-    assert g2.out_adj == g.out_adj
-    assert g2.in_degree == g.in_degree
+    assert np.array_equal(g2.indptr, g.indptr)
+    assert np.array_equal(g2.indices, g.indices)
+    assert np.array_equal(g2.in_degree, g.in_degree)
     g2.check_invariants()
 
 
@@ -122,3 +152,48 @@ def test_recount_matches_counters(g):
     g.check_invariants()
     ins, outs = g.degrees_snapshot()
     assert ins.sum() == outs.sum() == g.edge_count
+
+
+def reference_parse(text, n=None):
+    """Line-order scan with sets: (n, edges) of the graph from_edge_list must
+    build, or (exception class, line_no) of the error it must raise."""
+    pairs = []
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        parts = raw.split(",")
+        if not raw.strip():
+            continue
+        try:
+            i, j = map(int, parts) if len(parts) == 2 else (0, 0)
+        except ValueError:
+            i = j = 0
+        if min(i, j) < 1:
+            return EdgeListParseError, line_no
+        pairs.append((line_no, i, j))
+    n = max([2] + [max(i, j) for _, i, j in pairs]) if n is None else n
+    if n < 2:
+        return GraphError, None
+    seen = set()
+    for line_no, i, j in pairs:
+        if i > n or j > n or i == j or (i, j) in seen:
+            return EdgeListParseError, line_no
+        seen.add((i, j))
+    return n, [(i, j) for _, i, j in sorted(pairs, key=lambda t: t[1])]
+
+
+edge_lines = st.one_of(
+    st.tuples(st.integers(-1, 7), st.integers(-1, 7)).map(lambda t: f"{t[0]},{t[1]}"),
+    st.sampled_from(["", "  ", " 2 , 3 ", "1;2", "1,2,3", "a,1", "3,", "+4,1"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(edge_lines, max_size=12), st.one_of(st.none(), st.integers(0, 8)))
+def test_from_edge_list_matches_reference(lines, n):
+    text = "\n".join(lines)
+    expected = reference_parse(text, n)
+    try:
+        g = DirectedGraph.from_edge_list(text, n=n)
+    except GraphError as exc:
+        assert (type(exc), getattr(exc, "line_no", None)) == expected
+        return
+    assert (g.n, list(g.edges())) == expected
+    g.check_invariants()
