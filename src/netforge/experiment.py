@@ -16,7 +16,8 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import __version__
-from .formation import FormationConfig, generate, matched_er_density
+from .formation import (FormationConfig, generate, is_integer, is_real,
+                        matched_er_density)
 from .metrics import (DEFAULT_XMIN, MetricsReport, compute_report,
                       degree_distribution, gini, path_stats)
 from .plotting import loglog_svg
@@ -43,12 +44,15 @@ class ExperimentSpec:
     def __post_init__(self):
         for name in ("runs", "seed_base", "xmin"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            if not is_integer(value):
                 raise SpecError(f"{name} must be an integer, got {value!r}")
         if self.runs < 1:
             raise SpecError(f"runs must be >= 1, got {self.runs}")
         if self.xmin < 1:
             raise SpecError(f"xmin must be >= 1, got {self.xmin}")
+        if self.sweep is not None and not (isinstance(self.sweep, list)
+                                           and all(map(is_real, self.sweep))):
+            raise SpecError(f"sweep must be null or a list of numbers, got {self.sweep!r}")
         # delegate model/parameter validation to FormationConfig; a hybrid
         # sweep spec may leave p unset and take it from the sweep list
         if self.model == "hybrid" and self.p is None and self.sweep:
@@ -71,6 +75,8 @@ class ExperimentSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentSpec":
+        if not isinstance(d, dict):
+            raise SpecError(f"spec must be a JSON object, got {type(d).__name__}")
         known = {f.name for f in fields(cls)}
         unknown = set(d) - known
         if unknown:
@@ -278,11 +284,9 @@ def _atomic_write(path: str, data: str) -> None:
         raise
 
 
-def export_results(rs: ResultSet, out_dir: str, emit_plots: bool | None = None) -> list[str]:
+def export_results(rs: ResultSet, out_dir: str) -> list[str]:
     """Write metrics.json, rank_curve.csv, degree_ccdf.csv (and SVG charts when
-    plots are enabled) atomically. Returns the written paths."""
-    if emit_plots is None:
-        emit_plots = rs.spec.emit_plots
+    rs.spec.emit_plots is set) atomically. Returns the written paths."""
     os.makedirs(out_dir, exist_ok=True)
     written = []
 
@@ -303,7 +307,7 @@ def export_results(rs: ResultSet, out_dir: str, emit_plots: bool | None = None) 
     _atomic_write(path, "\n".join(lines) + "\n")
     written.append(path)
 
-    if emit_plots:
+    if rs.spec.emit_plots:
         curve = [(i, v) for i, v in enumerate(rs.mean_rank_curve, start=1)]
         path = os.path.join(out_dir, "rank_curve.svg")
         _atomic_write(path, loglog_svg(curve, "Mean in-degree vs rank",

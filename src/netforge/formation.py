@@ -6,6 +6,7 @@ Quality is represented purely by node id order: id 1 is the highest-quality node
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +18,17 @@ MODELS = ("meritocracy", "matthew", "hybrid", "er_directed")
 
 class ConfigError(ValueError):
     """Invalid FormationConfig."""
+
+
+def is_integer(value) -> bool:
+    """True for Python and numpy integers; False for bool and everything else."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def is_real(value) -> bool:
+    """True for finite Python/numpy ints and floats; False for bool, str, None."""
+    return ((is_integer(value) or isinstance(value, (float, np.floating)))
+            and math.isfinite(value))
 
 
 @dataclass(frozen=True)
@@ -31,17 +43,17 @@ class FormationConfig:
     def __post_init__(self):
         if self.model not in MODELS:
             raise ConfigError(f"unknown model {self.model!r}, expected one of {MODELS}")
-        if not isinstance(self.n, (int, np.integer)) or self.n < 2:
+        if not is_integer(self.n) or self.n < 2:
             raise ConfigError(f"n must be an integer >= 2, got {self.n!r}")
-        if not isinstance(self.m_cap, (int, np.integer)) or self.m_cap < 1:
+        if not is_integer(self.m_cap) or self.m_cap < 1:
             raise ConfigError(f"m_cap must be a positive integer, got {self.m_cap!r}")
         if self.m_cap > self.n - 1:
             raise ConfigError(f"m_cap={self.m_cap} exceeds n-1={self.n - 1}")
         if self.model == "hybrid":
-            if self.p is None or not 0.0 <= self.p <= 1.0:
+            if not is_real(self.p) or not 0.0 <= self.p <= 1.0:
                 raise ConfigError(f"hybrid requires p in [0,1], got {self.p!r}")
         if self.model == "er_directed":
-            if self.density is None or not 0.0 <= self.density <= 1.0:
+            if not is_real(self.density) or not 0.0 <= self.density <= 1.0:
                 raise ConfigError(f"er_directed requires density in [0,1], got {self.density!r}")
 
 
@@ -52,19 +64,19 @@ def _rng_for(config: FormationConfig, rng) -> np.random.Generator:
 class _Uniforms:
     """Buffered uniform(0,1) draws; avoids per-call Generator overhead in hot loops."""
 
-    __slots__ = ("rng", "buf", "pos")
+    __slots__ = ("rng", "buf", "at")
 
     def __init__(self, rng: np.random.Generator, size: int = 1 << 15):
         self.rng = rng
         self.buf = rng.random(size)
-        self.pos = 0
+        self.at = 0
 
     def next(self) -> float:
-        if self.pos >= len(self.buf):
+        if self.at >= len(self.buf):
             self.buf = self.rng.random(len(self.buf))
-            self.pos = 0
-        u = self.buf[self.pos]
-        self.pos += 1
+            self.at = 0
+        u = self.buf[self.at]
+        self.at += 1
         return u
 
 
@@ -112,124 +124,86 @@ def merit_followee_matrix(n: int, m_cap: int, rng: np.random.Generator,
     return out
 
 
-def generate_meritocracy(config: FormationConfig, rng=None,
-                         method: str = "records") -> DirectedGraph:
+def generate_meritocracy(config: FormationConfig, rng=None) -> DirectedGraph:
     """Quality-driven formation: a node follows a candidate only if it beats
     every current followee; stops at the best node or at m_cap followees.
 
-    method="records" samples each node's record sequence directly (default);
-    method="event_loop" runs the literal uniform-pair event process for
-    validation. Both produce the same equilibrium distribution.
+    Samples each node's record sequence directly; the literal uniform-pair
+    event process (`generate_hybrid` at p = 1) has the same equilibrium
+    distribution.
     """
     rng = _rng_for(config, rng)
     n, m = config.n, config.m_cap
-    if method == "event_loop":
-        return _event_loop(n, m, 1.0, rng)
-    if method != "records":
-        raise ValueError(f"unknown method {method!r}")
     mat = merit_followee_matrix(n, m, rng)
     rows, cols = np.nonzero(mat)
     return DirectedGraph._from_out_adj(n, rows + 1, mat[rows, cols])
 
 
-# -- Matthew effect ----------------------------------------------------------
-
-
-def generate_matthew(config: FormationConfig, rng=None) -> DirectedGraph:
-    """Capped preferential attachment: target weight = in-degree + 1 (the
-    virtual self-link); source uniform among nodes with out-degree < m_cap;
-    illegal targets (self, already-followed) are rejected and redrawn.
-    Terminates with exactly m_cap * n edges.
-
-    Weighted target sampling uses a repeated-endpoint pool (one entry per unit
-    of weight), giving O(1) draws with exact proportionality.
-    """
-    rng = _rng_for(config, rng)
-    n, m = config.n, config.m_cap
-    pool = list(range(1, n + 1))            # virtual self-links, then edge targets
-    followees: list[set[int]] = [set() for _ in range(n)]
-    src: list[int] = []                     # edges in creation order
-    unfilled = list(range(1, n + 1))
-    u = _Uniforms(rng).next
-    while unfilled:
-        k = int(u() * len(unfilled))
-        i = unfilled[k]
-        mine = followees[i - 1]
-        while True:
-            j = pool[int(u() * len(pool))]
-            if j != i and j not in mine:
-                break
-        src.append(i)
-        mine.add(j)
-        pool.append(j)
-        if len(mine) == m:
-            unfilled[k] = unfilled[-1]
-            unfilled.pop()
-    return DirectedGraph._from_out_adj(n, src, pool[n:])
-
-
-# -- hybrid ------------------------------------------------------------------
+# -- event-driven models: Matthew effect and hybrid --------------------------
 
 
 def _event_loop(n: int, m: int, p: float, rng: np.random.Generator) -> DirectedGraph:
     """Shared event loop: each event picks an active node i uniformly, then with
     probability p attempts one meritocracy step (uniform candidate, accepted only
-    if it beats all current followees) and otherwise performs one Matthew draw
-    (always adds a legal edge).
+    if it beats all current followees) and otherwise performs one Matthew draw:
+    capped preferential attachment with target weight in-degree + 1 (the virtual
+    self-link), illegal targets (self, already-followed) rejected and redrawn.
+    p = 0 is the Matthew model exactly; the merit coin is drawn only when p > 0.
 
-    For p < 1 a node stays active until its out-degree reaches m; for p == 1
-    it also retires once it follows the best available node (meritocracy
-    equilibrium), since no further event can ever succeed for it.
+    Weighted target sampling uses a repeated-endpoint pool (one entry per unit
+    of weight), giving O(1) draws with exact proportionality.
+
+    A node stays active until its out-degree reaches m; for p == 1 it also
+    leaves the active list once it follows the best available node (meritocracy
+    equilibrium), since no further event can ever succeed for it. A finished
+    node is swap-removed at its index in the active list.
     """
     followees: list[set[int]] = [set() for _ in range(n)]
     src: list[int] = []                     # edges in creation order
     best_follow = [n + 2] * (n + 1)         # min followee id per node, sentinel
     pool = list(range(1, n + 1))            # virtual self-links, then edge targets
     active = list(range(1, n + 1))
-    pos = {i: k for k, i in enumerate(active)}
     u = _Uniforms(rng).next
     pure_merit = p == 1.0
-
-    def retire(i: int) -> None:
-        k = pos.pop(i)
-        last = active[-1]
-        active[k] = last
-        if last != i:
-            pos[last] = k
-        active.pop()
-
     while active:
-        i = active[int(u() * len(active))]
-        if u() < p:
+        k = int(u() * len(active))
+        i = active[k]
+        mine = followees[i - 1]
+        if p > 0.0 and u() < p:
             j = int(u() * (n - 1)) + 1
             if j >= i:
                 j += 1
             if j >= best_follow[i]:
                 continue                    # no-op event
         else:
-            mine = followees[i - 1]
             while True:
                 j = pool[int(u() * len(pool))]
                 if j != i and j not in mine:
                     break
         src.append(i)
-        followees[i - 1].add(j)
+        mine.add(j)
         if j < best_follow[i]:
             best_follow[i] = j
         pool.append(j)
-        if len(followees[i - 1]) == m:
-            retire(i)
-        elif pure_merit and best_follow[i] == (2 if i == 1 else 1):
-            retire(i)
+        if len(mine) == m or (pure_merit and best_follow[i] == (2 if i == 1 else 1)):
+            active[k] = active[-1]
+            active.pop()
     return DirectedGraph._from_out_adj(n, src, pool[n:])
+
+
+def generate_matthew(config: FormationConfig, rng=None) -> DirectedGraph:
+    """Capped preferential attachment: the event loop at p = 0 (exactly the
+    Matthew model). Source uniform among nodes with out-degree < m_cap; target
+    weight in-degree + 1. Terminates with exactly m_cap * n edges."""
+    return _event_loop(config.n, config.m_cap, 0.0, _rng_for(config, rng))
 
 
 def generate_hybrid(config: FormationConfig, rng=None) -> DirectedGraph:
     """Per-event probabilistic mixture: meritocracy step with probability p,
-    Matthew step with 1-p. p=1 reduces to the meritocracy model, p=0 to the
-    Matthew model (distributionally)."""
-    rng = _rng_for(config, rng)
-    return _event_loop(config.n, config.m_cap, float(config.p), rng)
+    Matthew step with 1-p. p = 0 is the Matthew model exactly (same graph as
+    `generate_matthew` for the same seed); p = 1 is the meritocracy event
+    process, distributed as `generate_meritocracy`."""
+    return _event_loop(config.n, config.m_cap, float(config.p), _rng_for(config, rng))
 
 
 # -- directed Erdos-Renyi ----------------------------------------------------
@@ -246,16 +220,12 @@ def generate_er_directed(config: FormationConfig, rng=None) -> DirectedGraph:
     hit = np.arange(total if q >= 1.0 else 0)     # every pair index, or none
     if 0.0 < q < 1.0:
         positions = []
-        pos = -1
+        last = -1                           # last pair index drawn so far
         batch = max(64, int(1.2 * total * q) + 16)
-        while True:
-            gaps = rng.geometric(q, size=batch)
-            steps = np.cumsum(gaps) + pos
-            take = steps[steps < total]
-            positions.append(take)
-            if len(take) < len(steps):
-                break
-            pos = int(steps[-1])
+        while last < total:
+            steps = np.cumsum(rng.geometric(q, size=batch)) + last
+            positions.append(steps[steps < total])
+            last = int(steps[-1])
         hit = np.concatenate(positions)
     src = hit // (n - 1)
     rem = hit % (n - 1)

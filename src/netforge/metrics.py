@@ -175,8 +175,7 @@ class MetricsReport:
 
 
 def compute_report(g: DirectedGraph, xmin: int = DEFAULT_XMIN,
-                   with_paths: bool = False,
-                   with_clustering: bool = True) -> MetricsReport:
+                   with_paths: bool = False) -> MetricsReport:
     """Assemble a MetricsReport. Path statistics are opt-in (all-source BFS is
     the expensive part); alpha_hat is None when the tail is too small."""
     indeg, _ = g.degrees_snapshot()
@@ -187,7 +186,6 @@ def compute_report(g: DirectedGraph, xmin: int = DEFAULT_XMIN,
         alpha = None
     g_coef = gini(indeg) if indeg.sum() > 0 else 0.0
     diam, apl = path_stats(g) if with_paths else (None, None)
-    avg_c = clustering(g)[1] if with_clustering else None
     return MetricsReport(
         degree_histogram=hist,
         alpha_hat=alpha,
@@ -195,5 +193,5 @@ def compute_report(g: DirectedGraph, xmin: int = DEFAULT_XMIN,
         gini=g_coef,
         diameter=diam,
         avg_path_length=apl,
-        avg_clustering=avg_c,
+        avg_clustering=clustering(g)[1],
     )

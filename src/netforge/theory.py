@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -177,19 +176,18 @@ def single_crossing_index(curve_a, curve_b) -> CrossingReport:
     return CrossingReport(crossing_rank=crossing, sign_changes=changes)
 
 
-def brute_force_oracle(n: int, m_cap: int, exact: bool = False) -> CurveSpec:
+def brute_force_oracle(n: int, m_cap: int) -> CurveSpec:
     """Exact meritocracy expected in-degree by enumerating, for every source,
     all (n-1)! candidate orderings and applying the record rule truncated at
     m_cap followees or at the best-node link. Feasible for n <= 8.
 
-    With exact=True (n <= 6) expectations are accumulated as rationals before
-    converting to float.
+    Link counts are exact integers; the one float division by (n-1)! per rank
+    is correctly rounded, so the values are the nearest floats to the exact
+    rational expectations.
     """
     if n > 8:
         raise ValueError(f"oracle enumeration limited to n <= 8, got {n}")
     _validate(n, m_cap)
-    if exact and n > 6:
-        raise ValueError("exact rational mode limited to n <= 6")
     counts = [0] * (n + 1)
     for src in range(1, n + 1):
         candidates = [j for j in range(1, n + 1) if j != src]
@@ -204,11 +202,7 @@ def brute_force_oracle(n: int, m_cap: int, exact: bool = False) -> CurveSpec:
                     taken += 1
                     if c == best or taken == m_cap:
                         break
-    denom = math.factorial(n - 1)
-    if exact:
-        values = np.array([float(Fraction(c, denom)) for c in counts[1:]])
-    else:
-        values = np.array(counts[1:], dtype=float) / denom
+    values = np.array(counts[1:], dtype=float) / math.factorial(n - 1)
     return CurveSpec(n=n, m_cap=m_cap, values=values, name="oracle")
 
 

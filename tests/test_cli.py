@@ -150,15 +150,35 @@ class TestExperiment:
                 == (tmp_path / "b" / "metrics.json").read_bytes())
 
     @pytest.mark.parametrize("key,value", [("runs", "3"), ("runs", 2.5),
-                                           ("runs", True), ("seed_base", "a")])
+                                           ("runs", True), ("seed_base", "a"),
+                                           ("n", True), ("m_cap", True),
+                                           ("p", "0.5"), ("p", True),
+                                           ("density", "x"), ("density", False)])
     def test_mistyped_spec_field_exit_1(self, tmp_path, capsys, key, value):
+        # p and density are only read by the model that needs them
+        base = {"p": {"model": "hybrid"},
+                "density": {"model": "er_directed"}}.get(key, {"model": "matthew"})
         spec = tmp_path / "spec.json"
-        spec.write_text(json.dumps({"model": "matthew", "n": 10, key: value}))
+        spec.write_text(json.dumps({**base, "n": 10, key: value}))
         code, _, err = run(capsys, "experiment", "--spec", str(spec),
                            "--out", str(tmp_path / "o"))
         assert code == 1
         assert err.startswith("error:") and len(err.splitlines()) == 1
         assert "Traceback" not in err and key in err
+
+    @pytest.mark.parametrize("command", ["experiment", "sweep"])
+    @pytest.mark.parametrize("text,message", [
+        ("[1]", "spec must be a JSON object"), ("3", "spec must be a JSON object"),
+        ("null", "spec must be a JSON object"),
+        ('{"model": "hybrid", "n": 10, "sweep": 5}', "sweep must be"),
+        ('{"model": "hybrid", "n": 10, "sweep": ["0.5"]}', "sweep must be")])
+    def test_malformed_spec_exit_1(self, tmp_path, capsys, command, text, message):
+        spec = tmp_path / "spec.json"
+        spec.write_text(text)
+        code, _, err = run(capsys, command, "--spec", str(spec),
+                           "--out", str(tmp_path / "o"))
+        assert code == 1
+        assert err.startswith(f"error: {message}") and len(err.splitlines()) == 1
 
     def test_invalid_json_exit_1(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"

@@ -47,6 +47,16 @@ class TestSpec:
         s = spec(model="hybrid", sweep=[0.0, 0.5, 1.0])
         assert s.p is None
 
+    @pytest.mark.parametrize("sweep", [5, "0.5", [0.5, "1"], [True], [float("nan")]])
+    def test_sweep_must_be_list_of_numbers(self, sweep):
+        with pytest.raises(SpecError, match="sweep"):
+            spec(model="hybrid", p=0.5, sweep=sweep)
+
+    @pytest.mark.parametrize("doc", [[1], 3, None, "matthew"])
+    def test_from_dict_requires_object(self, doc):
+        with pytest.raises(SpecError, match="JSON object"):
+            ExperimentSpec.from_dict(doc)
+
     def test_sweep_p_out_of_range(self):
         with pytest.raises(SpecError):
             spec(model="hybrid", sweep=[0.5, 1.5])

@@ -72,11 +72,6 @@ class TestOracle:
     def test_n2_forced(self):
         assert np.allclose(brute_force_oracle(2, 1).values, [1.0, 1.0])
 
-    def test_exact_rational_mode(self):
-        a = brute_force_oracle(5, 3, exact=True).values
-        b = brute_force_oracle(5, 3).values
-        assert np.allclose(a, b, rtol=0, atol=1e-15)
-
     def test_refuses_large_n(self):
         with pytest.raises(ValueError):
             brute_force_oracle(9, 2)
