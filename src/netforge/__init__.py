@@ -15,7 +15,7 @@ from .theory import (CrossingReport, CurveSpec, TheoryTable, brute_force_oracle,
                      recursion_table, single_crossing_index)
 from .metrics import (InsufficientDataError, MetricsReport, clustering,
                       compute_report, degree_distribution, fit_power_law, gini,
-                      path_stats, rank_curve)
+                      path_stats)
 from .experiment import (EmpiricalParseError, EmpiricalResult, ExperimentSpec,
                          ResultSet, SpecError, empirical_ingest, export_results,
                          export_sweep, hybrid_sweep, run_batch,
@@ -32,8 +32,7 @@ __all__ = [
     "matthew_initial", "matthew_pdf_prediction", "convergence_lower_bound",
     "single_crossing_index", "brute_force_oracle",
     "MetricsReport", "InsufficientDataError", "degree_distribution",
-    "fit_power_law", "gini", "path_stats", "clustering", "rank_curve",
-    "compute_report",
+    "fit_power_law", "gini", "path_stats", "clustering", "compute_report",
     "ExperimentSpec", "ResultSet", "SpecError", "run_batch", "hybrid_sweep",
     "small_world_scaling", "empirical_ingest", "EmpiricalResult",
     "EmpiricalParseError", "export_results", "export_sweep",

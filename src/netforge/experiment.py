@@ -46,6 +46,10 @@ class ExperimentSpec:
             value = getattr(self, name)
             if not is_integer(value):
                 raise SpecError(f"{name} must be an integer, got {value!r}")
+        for name in ("emit_plots", "full_metrics"):
+            value = getattr(self, name)
+            if not isinstance(value, bool):
+                raise SpecError(f"{name} must be true or false, got {value!r}")
         if self.runs < 1:
             raise SpecError(f"runs must be >= 1, got {self.runs}")
         if self.xmin < 1:
@@ -127,22 +131,17 @@ def run_batch(spec: ExperimentSpec) -> ResultSet:
     in-degree vectors position-wise; the per-node curve averages by node id
     (meaningful where id equals quality rank)."""
     reports: list[MetricsReport] = []
-    sorted_sum = np.zeros(spec.n)
-    node_sum = np.zeros(spec.n)
-    pooled = np.zeros(0, dtype=np.int64)
+    indeg = np.empty((spec.runs, spec.n), dtype=np.int64)    # row r: run r's in-degrees
     for r in range(spec.runs):
         g = generate(spec.config_for_run(r))
-        indeg, _ = g.degrees_snapshot()
+        indeg[r] = g.degrees_snapshot()[0]
         reports.append(compute_report(g, xmin=spec.xmin, with_paths=spec.full_metrics))
-        sorted_sum += np.sort(indeg)[::-1]
-        node_sum += indeg
-        pooled = np.concatenate([pooled, indeg])
-    _, pooled_ccdf = degree_distribution(pooled)
+    _, pooled_ccdf = degree_distribution(indeg.ravel())
     rs = ResultSet(
         spec=spec,
         reports=reports,
-        mean_rank_curve=sorted_sum / spec.runs,
-        per_node_mean_indegree=node_sum / spec.runs,
+        mean_rank_curve=np.sort(indeg, axis=1)[:, ::-1].mean(axis=0),
+        per_node_mean_indegree=indeg.mean(axis=0),
         pooled_ccdf=pooled_ccdf,
         scalar_stats=_scalar_stats(reports),
         provenance={
@@ -191,14 +190,15 @@ def hybrid_sweep(spec: ExperimentSpec, p_values: list[float] | None = None) -> l
 @dataclass
 class ScalingRow:
     n: int
-    mean_diameter: float
-    mean_apl: float
+    mean_diameter: float | None     # None when no run at this size has a reachable pair
+    mean_apl: float | None
     log2_n: float
 
 
 def small_world_scaling(model: str, n_list: list[int], m_cap: int, runs: int,
                         seed_base: int = 0, density: float | None = None) -> list[ScalingRow]:
-    """Mean diameter and APL per network size, with the log2(n) benchmark."""
+    """Mean diameter and APL per network size, with the log2(n) benchmark.
+    Runs with no reachable pair are left out of the means."""
     if sorted(n_list) != list(n_list):
         raise SpecError("n_list must be ascending")
     rows = []
@@ -216,8 +216,8 @@ def small_world_scaling(model: str, n_list: list[int], m_cap: int, runs: int,
                 diams.append(diam)
                 apls.append(apl)
         rows.append(ScalingRow(n=n,
-                               mean_diameter=float(np.mean(diams)),
-                               mean_apl=float(np.mean(apls)),
+                               mean_diameter=float(np.mean(diams)) if diams else None,
+                               mean_apl=float(np.mean(apls)) if apls else None,
                                log2_n=math.log2(n)))
     return rows
 
@@ -239,7 +239,10 @@ class EmpiricalResult:
 def empirical_ingest(text: str, target_mean: float) -> EmpiricalResult:
     """Parse follower counts (one per line, or "user_id,followers" rows; a
     single non-numeric header line is tolerated) and rescale so the mean count
-    equals target_mean. Gini is computed before scaling and is unchanged by it."""
+    equals target_mean, a positive finite number. Gini is computed before
+    scaling and is unchanged by it."""
+    if not is_real(target_mean) or target_mean <= 0:
+        raise ValueError(f"target_mean must be a positive finite number, got {target_mean!r}")
     counts: list[float] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()

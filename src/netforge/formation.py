@@ -61,23 +61,11 @@ def _rng_for(config: FormationConfig, rng) -> np.random.Generator:
     return np.random.default_rng(config.seed) if rng is None else rng
 
 
-class _Uniforms:
-    """Buffered uniform(0,1) draws; avoids per-call Generator overhead in hot loops."""
-
-    __slots__ = ("rng", "buf", "at")
-
-    def __init__(self, rng: np.random.Generator, size: int = 1 << 15):
-        self.rng = rng
-        self.buf = rng.random(size)
-        self.at = 0
-
-    def next(self) -> float:
-        if self.at >= len(self.buf):
-            self.buf = self.rng.random(len(self.buf))
-            self.at = 0
-        u = self.buf[self.at]
-        self.at += 1
-        return u
+def _uniforms(rng: np.random.Generator):
+    """Endless uniform(0,1) floats, drawn in blocks to avoid per-call Generator
+    overhead in hot loops; a memoryview yields each block's values lazily."""
+    while True:
+        yield from memoryview(rng.random(1 << 15))
 
 
 # -- meritocracy -------------------------------------------------------------
@@ -163,7 +151,7 @@ def _event_loop(n: int, m: int, p: float, rng: np.random.Generator) -> DirectedG
     best_follow = [n + 2] * (n + 1)         # min followee id per node, sentinel
     pool = list(range(1, n + 1))            # virtual self-links, then edge targets
     active = list(range(1, n + 1))
-    u = _Uniforms(rng).next
+    u = _uniforms(rng).__next__
     pure_merit = p == 1.0
     while active:
         k = int(u() * len(active))

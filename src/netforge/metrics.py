@@ -1,13 +1,11 @@
 """Structural statistics of directed graphs: degree distributions, power-law
-fits, Gini, modified diameter / average path length, directed clustering, and
-rank curves.
+fits, Gini, modified diameter / average path length and directed clustering.
 
 All operations are read-only; graphs are treated as immutable.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -37,14 +35,11 @@ def degree_distribution(indegrees) -> tuple[dict[int, int], list[tuple[int, floa
     and is monotone non-increasing.
     """
     d = np.asarray(indegrees, dtype=np.int64)
-    hist = Counter(d.tolist())
+    values, counts = np.unique(d, return_counts=True)
     n = len(d)
-    ccdf = []
-    remaining = n
-    for val in sorted(hist):
-        ccdf.append((int(val), remaining / n))
-        remaining -= hist[val]
-    return dict(sorted(hist.items())), ccdf
+    ccdf = (n - np.cumsum(counts) + counts) / n
+    values = values.tolist()
+    return dict(zip(values, counts.tolist())), list(zip(values, ccdf.tolist()))
 
 
 def fit_power_law(indegrees, xmin: int = DEFAULT_XMIN) -> float:
@@ -120,24 +115,16 @@ def clustering(g: DirectedGraph) -> tuple[np.ndarray, float]:
 
         C_i = (1/2 sum_{j,k} b_ij b_jk b_ki) / (s_i (s_i - 1)),  s_i = sum_j b_ij
 
-    implemented verbatim, with C_i = 0 whenever s_i <= 1 (degenerate
-    denominator). Returns (per-node vector, average over all nodes)."""
+    with C_i = 0 whenever s_i <= 1 (degenerate denominator). b is symmetric,
+    so the triple sum is the row sum of b * (b @ b). Returns (per-node vector,
+    average over all nodes)."""
     a = adjacency_csr(g)
     b = (a + a.T).tocsr()
     s = np.asarray(b.sum(axis=1)).ravel()
-    closed = 0.5 * np.asarray(b.multiply((b @ b).T).sum(axis=1)).ravel()
+    closed = 0.5 * np.asarray(b.multiply(b @ b).sum(axis=1)).ravel()
     denom = s * (s - 1.0)
     c = np.divide(closed, denom, out=np.zeros(g.n), where=denom > 0)
     return c, float(c.mean())
-
-
-def rank_curve(indegrees) -> list[tuple[int, int]]:
-    """(rank, in-degree) pairs sorted by descending in-degree, ties broken by
-    ascending node id; rank is 1-based."""
-    d = np.asarray(indegrees, dtype=np.int64)
-    ids = np.arange(len(d))
-    order = np.lexsort((ids, -d))
-    return [(r, int(d[k])) for r, k in enumerate(order, start=1)]
 
 
 @dataclass
@@ -161,17 +148,6 @@ class MetricsReport:
             "avg_clustering": self.avg_clustering,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "MetricsReport":
-        return cls(
-            degree_histogram={int(k): v for k, v in d["degree_histogram"].items()},
-            alpha_hat=d["alpha_hat"],
-            xmin_used=d["xmin_used"],
-            gini=d["gini"],
-            diameter=d["diameter"],
-            avg_path_length=d["avg_path_length"],
-            avg_clustering=d["avg_clustering"],
-        )
 
 
 def compute_report(g: DirectedGraph, xmin: int = DEFAULT_XMIN,

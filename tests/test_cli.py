@@ -153,7 +153,9 @@ class TestExperiment:
                                            ("runs", True), ("seed_base", "a"),
                                            ("n", True), ("m_cap", True),
                                            ("p", "0.5"), ("p", True),
-                                           ("density", "x"), ("density", False)])
+                                           ("density", "x"), ("density", False),
+                                           ("full_metrics", "no"), ("emit_plots", "no"),
+                                           ("emit_plots", 1)])
     def test_mistyped_spec_field_exit_1(self, tmp_path, capsys, key, value):
         # p and density are only read by the model that needs them
         base = {"p": {"model": "hybrid"},
@@ -216,3 +218,15 @@ class TestEmpirical:
                              "--target-mean", "5", "--out", str(out_dir))
         assert code == 1 and "line 2" in err and out == ""
         assert not (out_dir / "summary.json").exists()
+
+    @pytest.mark.parametrize("target", ["nan", "inf", "-5", "0"])
+    def test_bad_target_mean_exit_1(self, tmp_path, capsys, target):
+        data = tmp_path / "counts.csv"
+        data.write_text("10\n5\n5\n")
+        out_dir = tmp_path / "out"
+        code, out, err = run(capsys, "empirical", "--in", str(data),
+                             "--target-mean", target, "--out", str(out_dir))
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert "target_mean" in err
+        assert not out_dir.exists()

@@ -1,12 +1,14 @@
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
 
 from netforge import (EmpiricalParseError, ExperimentSpec, SpecError,
-                      empirical_ingest, export_results, export_sweep, gini,
-                      hybrid_sweep, run_batch, small_world_scaling)
+                      degree_distribution, empirical_ingest, export_results,
+                      export_sweep, gini, hybrid_sweep, run_batch,
+                      small_world_scaling)
 
 
 def spec(**kw):
@@ -30,7 +32,9 @@ class TestSpec:
 
     @pytest.mark.parametrize("key,value", [("runs", "3"), ("runs", 2.5), ("runs", True),
                                            ("seed_base", "a"), ("seed_base", 1.0),
-                                           ("xmin", "10"), ("xmin", False), ("xmin", 0)])
+                                           ("xmin", "10"), ("xmin", False), ("xmin", 0),
+                                           ("full_metrics", "no"), ("emit_plots", "no"),
+                                           ("emit_plots", 1)])
     def test_non_integer_fields_rejected(self, key, value):
         with pytest.raises(SpecError, match=key):
             spec(**{key: value})
@@ -88,6 +92,14 @@ class TestRunBatch:
         hist = rs.reports[0].degree_histogram
         degrees = np.repeat(list(hist), list(hist.values()))
         assert rs.mean_rank_curve.tolist() == sorted(degrees.tolist(), reverse=True)
+
+    def test_pooled_ccdf_matches_run_histograms(self):
+        rs = run_batch(spec(runs=3))
+        degrees = np.concatenate([np.repeat(list(r.degree_histogram),
+                                            list(r.degree_histogram.values()))
+                                  for r in rs.reports])
+        assert len(degrees) == 3 * 60
+        assert rs.pooled_ccdf == degree_distribution(degrees)[1]
 
     def test_scalar_stats(self):
         rs = run_batch(spec())
@@ -169,6 +181,13 @@ class TestSmallWorldScaling:
             assert r.mean_apl <= r.mean_diameter
             assert r.log2_n == pytest.approx(np.log2(r.n))
 
+    def test_no_reachable_pair_reports_none(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = small_world_scaling("er_directed", [10, 20], m_cap=1, runs=2,
+                                       density=0.0)
+        assert [(r.mean_diameter, r.mean_apl) for r in rows] == [(None, None)] * 2
+
     def test_requires_ascending(self):
         with pytest.raises(SpecError):
             small_world_scaling("matthew", [100, 50], m_cap=3, runs=1)
@@ -205,6 +224,11 @@ class TestEmpiricalIngest:
             empirical_ingest("", target_mean=1.0)
         with pytest.raises(EmpiricalParseError, match="zero"):
             empirical_ingest("0\n0\n", target_mean=1.0)
+
+    @pytest.mark.parametrize("target", [float("nan"), float("inf"), -5.0, 0, "5", True])
+    def test_bad_target_mean_rejected(self, target):
+        with pytest.raises(ValueError, match="target_mean"):
+            empirical_ingest("10\n5\n", target_mean=target)
 
     @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "NaN", "Infinity"])
     def test_non_finite_rejected(self, token):

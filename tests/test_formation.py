@@ -5,6 +5,7 @@ from netforge import (ConfigError, FormationConfig, brute_force_oracle,
                       generate, generate_er_directed, generate_hybrid,
                       generate_matthew, generate_meritocracy,
                       merit_followee_matrix)
+from netforge.formation import _uniforms
 
 
 def cfg(**kw):
@@ -196,3 +197,16 @@ def test_determinism_same_seed():
                          ("hybrid", {"p": 0.3}), ("er_directed", {"density": 0.02})]:
         c = cfg(model=model, n=80, m_cap=3, seed=123, **extra)
         assert generate(c).to_edge_list() == generate(c).to_edge_list()
+
+
+def test_uniforms_stream_and_state():
+    rng, ref = np.random.default_rng(3), np.random.default_rng(3)
+    u = _uniforms(rng).__next__
+    draws = [u() for _ in range(2**15 + 5)]
+    assert all(type(x) is float for x in draws)
+    assert draws == ref.random(2 << 15)[:2**15 + 5].tolist()
+    # blocks are whole: the rng has advanced by exactly two 2**15 draws
+    two_blocks = np.random.default_rng(3)
+    two_blocks.random(1 << 15)
+    two_blocks.random(1 << 15)
+    assert rng.bit_generator.state == two_blocks.bit_generator.state

@@ -1,12 +1,14 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netforge import (DirectedGraph, FormationConfig, InsufficientDataError,
-                      MetricsReport, clustering, compute_report,
-                      degree_distribution, fit_power_law, generate, gini,
-                      matched_er_density, path_stats, rank_curve)
+                      clustering, compute_report, degree_distribution,
+                      fit_power_law, generate, gini, matched_er_density,
+                      path_stats)
 
 
 def graph(n, edges):
@@ -40,6 +42,16 @@ class TestDegreeDistribution:
         hist, ccdf = degree_distribution(indeg(graph(3, [])))
         assert hist == {0: 3}
         assert ccdf == [(0, 1.0)]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(0, 40), max_size=60))
+    def test_matches_counter_reference(self, degrees):
+        hist = Counter(degrees)
+        ccdf, remaining = [], len(degrees)
+        for val in sorted(hist):
+            ccdf.append((val, remaining / len(degrees)))
+            remaining -= hist[val]
+        assert degree_distribution(degrees) == (dict(sorted(hist.items())), ccdf)
 
     def test_ccdf_monotone_nonincreasing(self):
         g = generate(FormationConfig("matthew", n=400, m_cap=3, seed=7))
@@ -152,6 +164,27 @@ class TestClustering:
         assert np.all(per_node >= 0) and np.all(per_node <= 1)
         assert 0.0 <= mean <= 1.0
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 8).flatmap(lambda n: st.tuples(
+        st.just(n), st.sets(st.tuples(st.integers(1, n), st.integers(1, n))
+                            .filter(lambda e: e[0] != e[1])))))
+    def test_matches_triple_sum(self, case):
+        n, edges = case
+        a = np.zeros((n, n), dtype=int)
+        for i, j in edges:
+            a[i - 1, j - 1] = 1
+        b = a + a.T
+        expected = np.zeros(n)
+        for i in range(n):
+            s = b[i].sum()
+            closed = sum(b[i, j] * b[j, k] * b[k, i]
+                         for j in range(n) for k in range(n)) / 2
+            if s > 1:
+                expected[i] = closed / (s * (s - 1))
+        per_node, mean = clustering(graph(n, sorted(edges)))
+        assert np.array_equal(per_node, expected)
+        assert mean == expected.mean()
+
     def test_er_close_to_density(self):
         n = 800
         density = matched_er_density(n, 5)
@@ -163,21 +196,7 @@ class TestClustering:
         assert np.mean(vals) == pytest.approx(density, rel=0.4)
 
 
-class TestRankCurve:
-    def test_sorted_descending(self):
-        assert rank_curve(indeg(star(4))) == [(1, 3), (2, 0), (3, 0), (4, 0)]
-
-    def test_ties_broken_by_id(self):
-        assert rank_curve([1, 2, 1]) == [(1, 2), (2, 1), (3, 1)]
-
-
 class TestReport:
-    def test_round_trip(self):
-        g = generate(FormationConfig("matthew", n=300, m_cap=3, seed=2))
-        rep = compute_report(g, with_paths=True)
-        again = MetricsReport.from_dict(rep.to_dict())
-        assert again.to_dict() == rep.to_dict()
-
     def test_alpha_none_when_tail_small(self):
         rep = compute_report(star(20))
         assert rep.alpha_hat is None
