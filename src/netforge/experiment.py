@@ -52,6 +52,8 @@ class ExperimentSpec:
                 raise SpecError(f"{name} must be true or false, got {value!r}")
         if self.runs < 1:
             raise SpecError(f"runs must be >= 1, got {self.runs}")
+        if self.seed_base < 0:
+            raise SpecError(f"seed_base must be >= 0, got {self.seed_base}")
         if self.xmin < 1:
             raise SpecError(f"xmin must be >= 1, got {self.xmin}")
         if self.sweep is not None and not (isinstance(self.sweep, list)

@@ -45,6 +45,8 @@ class FormationConfig:
             raise ConfigError(f"unknown model {self.model!r}, expected one of {MODELS}")
         if not is_integer(self.n) or self.n < 2:
             raise ConfigError(f"n must be an integer >= 2, got {self.n!r}")
+        if not is_integer(self.seed) or self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         if not is_integer(self.m_cap) or self.m_cap < 1:
             raise ConfigError(f"m_cap must be a positive integer, got {self.m_cap!r}")
         if self.m_cap > self.n - 1:
@@ -136,7 +138,8 @@ def _event_loop(n: int, m: int, p: float, rng: np.random.Generator) -> DirectedG
     if it beats all current followees) and otherwise performs one Matthew draw:
     capped preferential attachment with target weight in-degree + 1 (the virtual
     self-link), illegal targets (self, already-followed) rejected and redrawn.
-    p = 0 is the Matthew model exactly; the merit coin is drawn only when p > 0.
+    p = 0 is the Matthew model exactly; the merit coin is drawn, and the best
+    followee tracked, only when p > 0.
 
     Weighted target sampling uses a repeated-endpoint pool (one entry per unit
     of weight), giving O(1) draws with exact proportionality.
@@ -152,12 +155,13 @@ def _event_loop(n: int, m: int, p: float, rng: np.random.Generator) -> DirectedG
     pool = list(range(1, n + 1))            # virtual self-links, then edge targets
     active = list(range(1, n + 1))
     u = _uniforms(rng).__next__
+    merit = p > 0.0                         # best_follow is read only by merit steps
     pure_merit = p == 1.0
     while active:
         k = int(u() * len(active))
         i = active[k]
         mine = followees[i - 1]
-        if p > 0.0 and u() < p:
+        if merit and u() < p:
             j = int(u() * (n - 1)) + 1
             if j >= i:
                 j += 1
@@ -170,7 +174,7 @@ def _event_loop(n: int, m: int, p: float, rng: np.random.Generator) -> DirectedG
                     break
         src.append(i)
         mine.add(j)
-        if j < best_follow[i]:
+        if merit and j < best_follow[i]:
             best_follow[i] = j
         pool.append(j)
         if len(mine) == m or (pure_merit and best_follow[i] == (2 if i == 1 else 1)):

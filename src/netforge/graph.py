@@ -99,7 +99,8 @@ class DirectedGraph:
 
     @classmethod
     def from_edge_list(cls, text: str, n: int | None = None) -> "DirectedGraph":
-        """Parse edge-list text. When n is omitted it is inferred from the max id.
+        """Parse edge-list text. When n is omitted it is inferred from the max id,
+        and input with no edges is rejected (it names no node).
 
         Every line is parsed before any structural rule is applied, so a
         malformed line is reported before an out-of-range, self-loop or
@@ -123,7 +124,9 @@ class DirectedGraph:
             src.append(i)
             dst.append(j)
         if n is None:
-            n = max(max(src, default=0), max(dst, default=0), 2)
+            if not src:
+                raise GraphError("edge list has no edges; give n to read isolated nodes")
+            n = max(max(src), max(dst), 2)
         try:
             return cls._from_out_adj(n, src, dst)
         except GraphError as exc:

@@ -46,6 +46,13 @@ class TestGenerate:
                          "--m", "1", "--seed", "0")
         assert code == 1
 
+    def test_negative_seed_exit_1(self, capsys):
+        code, out, err = run(capsys, "generate", "--model", "matthew", "--n", "10",
+                             "--m", "2", "--seed", "-1")
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert "seed" in err and "-1" in err
+
     def test_usage_error_exit_1(self, capsys):
         assert run(capsys, "generate", "--model", "merit")[0] == 1
         assert run(capsys, "nonsense")[0] == 1
@@ -88,6 +95,17 @@ class TestMetrics:
             code, out, err = run(capsys, "metrics", "--in", str(edges), "--xmin", "0")
         assert code == 1 and out == ""
         assert err.startswith("error:") and "xmin" in err
+
+    def test_empty_input_needs_n(self, tmp_path, capsys):
+        edges = tmp_path / "empty.csv"
+        edges.write_text("")
+        code, out, err = run(capsys, "metrics", "--in", str(edges))
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        code, out, _ = run(capsys, "metrics", "--in", str(edges), "--n", "5", "--full")
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["degree_histogram"] == {"0": 5} and rep["diameter"] is None
 
     def test_missing_file_exit_2(self, capsys):
         code, _, err = run(capsys, "metrics", "--in", "/nonexistent/file.csv")
@@ -155,7 +173,7 @@ class TestExperiment:
                                            ("p", "0.5"), ("p", True),
                                            ("density", "x"), ("density", False),
                                            ("full_metrics", "no"), ("emit_plots", "no"),
-                                           ("emit_plots", 1)])
+                                           ("emit_plots", 1), ("seed_base", -1)])
     def test_mistyped_spec_field_exit_1(self, tmp_path, capsys, key, value):
         # p and density are only read by the model that needs them
         base = {"p": {"model": "hybrid"},

@@ -34,7 +34,7 @@ class TestSpec:
                                            ("seed_base", "a"), ("seed_base", 1.0),
                                            ("xmin", "10"), ("xmin", False), ("xmin", 0),
                                            ("full_metrics", "no"), ("emit_plots", "no"),
-                                           ("emit_plots", 1)])
+                                           ("emit_plots", 1), ("seed_base", -1)])
     def test_non_integer_fields_rejected(self, key, value):
         with pytest.raises(SpecError, match=key):
             spec(**{key: value})

@@ -40,7 +40,8 @@ class TestConfig:
         ("matthew", "n", True), ("matthew", "m_cap", True),
         ("hybrid", "p", "0.5"), ("hybrid", "p", True), ("hybrid", "p", float("nan")),
         ("er_directed", "density", "x"), ("er_directed", "density", False),
-        ("er_directed", "density", float("inf"))])
+        ("er_directed", "density", float("inf")),
+        ("matthew", "seed", -1), ("matthew", "seed", 1.5)])
     def test_mistyped_fields_rejected(self, model, key, value):
         base = {"model": model, "n": 10, "m_cap": 2, "p": 0.5, "density": 0.1}
         with pytest.raises(ConfigError, match=key):

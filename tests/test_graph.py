@@ -122,6 +122,14 @@ def test_empty_file_gives_empty_graph():
     assert g.n == 3 and g.edge_count == 0
 
 
+@pytest.mark.parametrize("text", ["", "\n  \n"])
+def test_empty_input_needs_n(text):
+    with pytest.raises(GraphError, match="no edges"):
+        DirectedGraph.from_edge_list(text)
+    g = DirectedGraph.from_edge_list(text, n=5)
+    assert g.n == 5 and g.edge_count == 0 and g.in_degree.tolist() == [0] * 5
+
+
 def test_infer_n_from_max_id():
     g = DirectedGraph.from_edge_list("1,4\n")
     assert g.n == 4
@@ -169,6 +177,8 @@ def reference_parse(text, n=None):
         if min(i, j) < 1:
             return EdgeListParseError, line_no
         pairs.append((line_no, i, j))
+    if n is None and not pairs:
+        return GraphError, None             # no id to infer n from
     n = max([2] + [max(i, j) for _, i, j in pairs]) if n is None else n
     if n < 2:
         return GraphError, None

@@ -1,14 +1,16 @@
-from collections import Counter
+from collections import Counter, deque
 
+import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import dijkstra
 
 from netforge import (DirectedGraph, FormationConfig, InsufficientDataError,
                       clustering, compute_report, degree_distribution,
                       fit_power_law, generate, gini, matched_er_density,
-                      path_stats)
+                      metrics, path_stats)
 
 
 def graph(n, edges):
@@ -142,9 +144,71 @@ class TestPathStats:
         stats = path_stats(g)
         assert stats.avg_path_length <= stats.diameter
 
-    def test_chunking_agrees(self):
-        g = generate(FormationConfig("matthew", n=300, m_cap=2, seed=11))
-        assert path_stats(g, chunk=7) == path_stats(g, chunk=1024)
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 12).flatmap(lambda n: st.tuples(
+        st.just(n), st.sets(st.tuples(st.integers(1, n), st.integers(1, n))
+                            .filter(lambda e: e[0] != e[1])))))
+    @example((4, set()))                            # no edges
+    @example((3, {(1, 2), (3, 2)}))                 # unreachable pairs
+    def test_matches_bfs_reference(self, case):
+        n, edges = case
+        out = {i: [] for i in range(1, n + 1)}
+        for i, j in edges:
+            out[i].append(j)
+        lengths = []
+        for s in out:
+            dist = {s: 0}
+            queue = deque([s])
+            while queue:
+                i = queue.popleft()
+                for j in out[i]:
+                    if j not in dist:
+                        dist[j] = dist[i] + 1
+                        queue.append(j)
+            lengths += [d for t, d in dist.items() if t != s]
+        expected = (max(lengths), sum(lengths) / len(lengths)) if lengths else (None, None)
+        assert tuple(path_stats(graph(n, sorted(edges)))) == expected
+
+    @pytest.mark.parametrize("gather_bytes", [None, 8 * 2500, 3 * 8 * 5000])
+    def test_matches_dijkstra_reference(self, monkeypatch, gather_bytes):
+        # n = 2500 is not a multiple of 64 and spans two 2048-source blocks at
+        # the default width; the reduced budgets give 1- and 3-word blocks
+        if gather_bytes is not None:
+            monkeypatch.setattr(metrics, "_GATHER_BYTES", gather_bytes)
+        g = generate(FormationConfig("matthew", n=2500, m_cap=2, seed=4))
+        stats = path_stats(g)
+        assert tuple(stats) == dijkstra_path_stats(g)
+        assert type(stats.diameter) is int and type(stats.avg_path_length) is float
+
+    def test_matches_networkx_strongly_connected(self):
+        g = generate(FormationConfig("matthew", n=300, m_cap=3, seed=8))
+        ring = {(i, i % 300 + 1) for i in range(1, 301)}
+        edges = sorted(ring | set(g.edges()))
+        G = nx.DiGraph(edges)
+        assert nx.is_strongly_connected(G)
+        stats = path_stats(graph(300, edges))
+        assert stats.diameter == nx.diameter(G)
+        assert stats.avg_path_length == nx.average_shortest_path_length(G)
+
+
+def dijkstra_path_stats(g, chunk=1024):
+    """The all-source Dijkstra loop path_stats used before multi-source BFS."""
+    adj = metrics.adjacency_csr(g)
+    n = g.n
+    diameter = 0
+    total = 0.0
+    count = 0
+    for start in range(0, n, chunk):
+        idx = np.arange(start, min(start + chunk, n))
+        dist = dijkstra(adj, indices=idx, unweighted=True)
+        finite = np.isfinite(dist)
+        finite[np.arange(len(idx)), idx] = False   # drop self-pairs
+        vals = dist[finite]
+        if len(vals):
+            diameter = max(diameter, int(vals.max()))
+            total += vals.sum()
+            count += len(vals)
+    return (diameter, total / count) if count else (None, None)
 
 
 class TestClustering:
