@@ -97,20 +97,32 @@ class ExperimentSpec:
 class ResultSet:
     spec: ExperimentSpec
     reports: list[MetricsReport]
-    mean_rank_curve: np.ndarray = field(repr=False)     # position-wise mean of sorted in-degrees
-    per_node_mean_indegree: np.ndarray = field(repr=False)
-    pooled_ccdf: list[tuple[int, float]] = field(repr=False, default_factory=list)
+    indegrees: np.ndarray = field(repr=False)   # (runs, n) int64, row r: run r's in-degrees
     scalar_stats: dict = field(default_factory=dict)
     provenance: dict = field(default_factory=dict)
 
+    @property
+    def mean_rank_curve(self) -> np.ndarray:
+        """Position-wise mean of the runs' sorted (descending) in-degrees."""
+        return np.sort(self.indegrees, axis=1)[:, ::-1].mean(axis=0)
+
+    @property
+    def per_node_mean_indegree(self) -> np.ndarray:
+        """Mean in-degree of each node id (its quality rank in the merit models)."""
+        return self.indegrees.mean(axis=0)
+
+    @property
+    def pooled_ccdf(self) -> list[tuple[int, float]]:
+        """In-degree CCDF over all runs' nodes together."""
+        return degree_distribution(self.indegrees.ravel())[1]
+
     def to_dict(self) -> dict:
+        # both curves follow from the runs' degree histograms; the CSVs carry them
         return {
             "provenance": self.provenance,
             "scalar_stats": self.scalar_stats,
-            "mean_rank_curve": [round(float(v), 12) for v in self.mean_rank_curve],
             "per_node_mean_indegree": [round(float(v), 12)
                                        for v in self.per_node_mean_indegree],
-            "pooled_ccdf": [[int(d), p] for d, p in self.pooled_ccdf],
             "runs": [r.to_dict() for r in self.reports],
         }
 
@@ -129,22 +141,19 @@ def _scalar_stats(reports: list[MetricsReport]) -> dict:
 
 def run_batch(spec: ExperimentSpec) -> ResultSet:
     """Execute spec.runs independent generations (seeds seed_base + r), compute
-    per-run metrics, and aggregate. The mean rank curve averages sorted
-    in-degree vectors position-wise; the per-node curve averages by node id
-    (meaningful where id equals quality rank)."""
+    per-run metrics, and keep the runs' in-degree vectors, from which the
+    ResultSet derives its curves."""
     reports: list[MetricsReport] = []
     indeg = np.empty((spec.runs, spec.n), dtype=np.int64)    # row r: run r's in-degrees
     for r in range(spec.runs):
         g = generate(spec.config_for_run(r))
         indeg[r] = g.degrees_snapshot()[0]
         reports.append(compute_report(g, xmin=spec.xmin, with_paths=spec.full_metrics))
-    _, pooled_ccdf = degree_distribution(indeg.ravel())
-    rs = ResultSet(
+    indeg.flags.writeable = False
+    return ResultSet(
         spec=spec,
         reports=reports,
-        mean_rank_curve=np.sort(indeg, axis=1)[:, ::-1].mean(axis=0),
-        per_node_mean_indegree=indeg.mean(axis=0),
-        pooled_ccdf=pooled_ccdf,
+        indegrees=indeg,
         scalar_stats=_scalar_stats(reports),
         provenance={
             "spec": spec.to_dict(),
@@ -152,7 +161,6 @@ def run_batch(spec: ExperimentSpec) -> ResultSet:
             "tool_version": __version__,
         },
     )
-    return rs
 
 
 @dataclass
@@ -172,6 +180,9 @@ def hybrid_sweep(spec: ExperimentSpec, p_values: list[float] | None = None) -> l
     ps = p_values if p_values is not None else spec.sweep
     if not ps:
         raise SpecError("hybrid_sweep requires p values (spec.sweep or p_values)")
+    labels = [f"{float(p):g}" for p in ps]      # export_sweep's file and row labels
+    if len(set(labels)) < len(labels):
+        raise SpecError(f"sweep p values must have distinct labels, got {labels}")
     rows = []
     for p in ps:
         sub = ExperimentSpec(**{**spec.to_dict(), "model": "hybrid", "p": float(p),
@@ -289,38 +300,33 @@ def _atomic_write(path: str, data: str) -> None:
         raise
 
 
+def _write_csv(path: str, header: str, rows) -> str:
+    """Atomically write the header and one line per (key, *values) tuple: the
+    key as is, each value as %.12g. Returns path."""
+    line = "%s" + ",%.12g" * header.count(",") + "\n"
+    _atomic_write(path, header + "\n" + "".join([line % row for row in rows]))
+    return path
+
+
 def export_results(rs: ResultSet, out_dir: str) -> list[str]:
     """Write metrics.json, rank_curve.csv, degree_ccdf.csv (and SVG charts when
     rs.spec.emit_plots is set) atomically. Returns the written paths."""
     os.makedirs(out_dir, exist_ok=True)
-    written = []
-
     path = os.path.join(out_dir, "metrics.json")
     text = json.dumps(rs.to_dict(), allow_nan=False, indent=1, sort_keys=True)
     _atomic_write(path, text + "\n")
-    written.append(path)
-
-    lines = ["rank,mean_indegree"]
-    lines += [f"{i},{v:.12g}" for i, v in enumerate(rs.mean_rank_curve, start=1)]
-    path = os.path.join(out_dir, "rank_curve.csv")
-    _atomic_write(path, "\n".join(lines) + "\n")
-    written.append(path)
-
-    lines = ["indegree,ccdf"]
-    lines += [f"{d},{p:.12g}" for d, p in rs.pooled_ccdf]
-    path = os.path.join(out_dir, "degree_ccdf.csv")
-    _atomic_write(path, "\n".join(lines) + "\n")
-    written.append(path)
-
+    rank = list(enumerate(rs.mean_rank_curve, start=1))
+    ccdf = rs.pooled_ccdf
+    written = [path,
+               _write_csv(os.path.join(out_dir, "rank_curve.csv"), "rank,mean_indegree", rank),
+               _write_csv(os.path.join(out_dir, "degree_ccdf.csv"), "indegree,ccdf", ccdf)]
     if rs.spec.emit_plots:
-        curve = [(i, v) for i, v in enumerate(rs.mean_rank_curve, start=1)]
         path = os.path.join(out_dir, "rank_curve.svg")
-        _atomic_write(path, loglog_svg(curve, "Mean in-degree vs rank",
+        _atomic_write(path, loglog_svg(rank, "Mean in-degree vs rank",
                                        "rank", "mean in-degree"))
         written.append(path)
         path = os.path.join(out_dir, "degree_ccdf.svg")
-        _atomic_write(path, loglog_svg([(d, p) for d, p in rs.pooled_ccdf],
-                                       "In-degree CCDF", "in-degree", "P[D >= d]"))
+        _atomic_write(path, loglog_svg(ccdf, "In-degree CCDF", "in-degree", "P[D >= d]"))
         written.append(path)
     return written
 
@@ -328,18 +334,12 @@ def export_results(rs: ResultSet, out_dir: str) -> list[str]:
 def export_sweep(rows: list[SweepRow], out_dir: str) -> list[str]:
     """Write sweep_gini.csv plus a per-p rank curve file for each batch."""
     os.makedirs(out_dir, exist_ok=True)
-    written = []
-    lines = ["p,gini_expected_curve,gini_rank_curve,gini_run_mean,gini_run_sd"]
-    for row in rows:
-        lines.append(f"{row.p:g},{row.gini_expected_curve:.12g},"
-                     f"{row.gini_rank_curve:.12g},{row.gini_run_mean:.12g},"
-                     f"{row.gini_run_sd:.12g}")
-        sub = ["rank,mean_indegree"]
-        sub += [f"{i},{v:.12g}" for i, v in enumerate(row.result.mean_rank_curve, start=1)]
-        path = os.path.join(out_dir, f"rank_curve_p{row.p:g}.csv")
-        _atomic_write(path, "\n".join(sub) + "\n")
-        written.append(path)
-    path = os.path.join(out_dir, "sweep_gini.csv")
-    _atomic_write(path, "\n".join(lines) + "\n")
-    written.append(path)
+    written = [_write_csv(os.path.join(out_dir, f"rank_curve_p{row.p:g}.csv"),
+                          "rank,mean_indegree", enumerate(row.result.mean_rank_curve, start=1))
+               for row in rows]
+    written.append(_write_csv(
+        os.path.join(out_dir, "sweep_gini.csv"),
+        "p,gini_expected_curve,gini_rank_curve,gini_run_mean,gini_run_sd",
+        [(f"{row.p:g}", row.gini_expected_curve, row.gini_rank_curve, row.gini_run_mean,
+          row.gini_run_sd) for row in rows]))
     return written

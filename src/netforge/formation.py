@@ -215,7 +215,8 @@ def generate_er_directed(config: FormationConfig, rng=None) -> DirectedGraph:
         last = -1                           # last pair index drawn so far
         batch = max(64, int(1.2 * total * q) + 16)
         while last < total:
-            steps = np.cumsum(rng.geometric(q, size=batch)) + last
+            # a gap clipped to total + 1 still ends past the last pair, and cannot overflow
+            steps = np.cumsum(np.minimum(rng.geometric(q, size=batch), total + 1)) + last
             positions.append(steps[steps < total])
             last = int(steps[-1])
         hit = np.concatenate(positions)

@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
 import warnings
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from netforge import DirectedGraph, exact_expected_indegree
+from netforge.theory import CURVE_FUNCS
 from netforge.cli import main
 
 
@@ -75,6 +80,15 @@ class TestTheory:
         code, _, _ = run(capsys, "theory", "--formula", "oracle", "--n", "20",
                          "--m", "2")
         assert code == 1
+
+    def test_allocation_failure_exit_1(self, capsys, monkeypatch):
+        def too_big(n, m):
+            raise MemoryError(f"Unable to allocate 36.4 TiB for an array with shape ({m}, {n})")
+        monkeypatch.setitem(CURVE_FUNCS, "recursion", too_big)
+        code, out, err = run(capsys, "theory", "--formula", "recursion",
+                             "--n", "1000000000000", "--m", "5")
+        assert code == 1 and out == ""
+        assert err.startswith("error: Unable to allocate") and len(err.splitlines()) == 1
 
 
 class TestMetrics:
@@ -149,6 +163,21 @@ class TestExperiment:
         assert code == 0
         assert (out_dir / "rank_curve_p0.25.csv").exists()
         assert (out_dir / "rank_curve_p0.75.csv").exists()
+
+    @pytest.mark.parametrize("spec_fields,p_arg", [
+        ({"sweep": [0.1234561, 0.1234564]}, None),
+        ({"p": 0.5}, "0.5,0.5"),
+        ({"p": 0.5}, "0.25,0.7500001,0.75")])
+    def test_colliding_sweep_labels_exit_1(self, tmp_path, capsys, spec_fields, p_arg):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"model": "hybrid", "n": 20, "m_cap": 2, "runs": 1,
+                                    **spec_fields}))
+        out_dir = tmp_path / "out"
+        argv = ["sweep", "--spec", str(spec), "--out", str(out_dir)]
+        code, out, err = run(capsys, *argv, *(["--p", p_arg] if p_arg else []))
+        assert code == 1 and out == ""
+        assert err.startswith("error: sweep p values") and len(err.splitlines()) == 1
+        assert not out_dir.exists()
 
     def test_unknown_key_exit_1(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"
@@ -248,3 +277,70 @@ class TestEmpirical:
         assert err.startswith("error:") and len(err.splitlines()) == 1
         assert "target_mean" in err
         assert not out_dir.exists()
+
+
+# -- fuzz: any small argv ends in an exit code, never an exception -----------
+
+_SIZES = st.integers(1, 30).map(str)
+_CAPS = st.integers(1, 5).map(str)
+_PROBS = st.floats(0.0, 1.0).map(repr)     # subnormals and both ends included
+
+
+@st.composite
+def _generate_argv(draw):
+    return ["generate", "--model", draw(st.sampled_from(["merit", "matthew", "hybrid", "er"])),
+            "--n", draw(_SIZES), "--m", draw(_CAPS),
+            "--seed", str(draw(st.integers(0, 2**32))),
+            "--p", draw(_PROBS), "--density", draw(_PROBS)]
+
+
+@st.composite
+def _theory_argv(draw):
+    argv = ["theory", "--formula", draw(st.sampled_from(sorted(CURVE_FUNCS))),
+            "--n", draw(_SIZES), "--m", draw(_CAPS)]
+    return argv + draw(st.sampled_from([[], ["--check-crossing"]]))
+
+
+@st.composite
+def _metrics_argv(draw, edge_file):
+    ids = st.integers(1, 30)
+    edges = draw(st.lists(st.tuples(ids, ids).filter(lambda e: e[0] != e[1]),
+                          unique=True, max_size=60))
+    edge_file.write_text("".join(f"{a},{b}\n" for a, b in edges))
+    argv = ["metrics", "--in", str(edge_file), "--xmin", str(draw(st.integers(1, 12)))]
+    if draw(st.booleans()):
+        argv += ["--n", draw(_SIZES)]
+    return argv + draw(st.sampled_from([[], ["--full"]]))
+
+
+@pytest.fixture(scope="module")
+def edge_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "edges.csv"
+
+
+def _exit_code(argv, time_limit):
+    out, err = io.StringIO(), io.StringIO()
+    with time_limit(10), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert "Traceback" not in err.getvalue()
+    return code
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=_generate_argv())
+@example(argv=["generate", "--model", "er", "--n", "50", "--m", "1", "--seed", "0",
+               "--p", "0.0", "--density", "5e-324"])
+def test_fuzz_generate_exit_codes(argv, time_limit):
+    assert _exit_code(argv, time_limit) in (0, 1, 2, 3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(argv=_theory_argv())
+def test_fuzz_theory_exit_codes(argv, time_limit):
+    assert _exit_code(argv, time_limit) in (0, 1, 2, 3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_fuzz_metrics_exit_codes(data, edge_file, time_limit):
+    assert _exit_code(data.draw(_metrics_argv(edge_file)), time_limit) in (0, 1, 2, 3)

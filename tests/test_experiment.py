@@ -1,6 +1,7 @@
 import json
 import os
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from netforge import (EmpiricalParseError, ExperimentSpec, SpecError,
                       degree_distribution, empirical_ingest, export_results,
                       export_sweep, gini, hybrid_sweep, run_batch,
                       small_world_scaling)
+from netforge import experiment
 
 
 def spec(**kw):
@@ -101,6 +103,13 @@ class TestRunBatch:
         assert len(degrees) == 3 * 60
         assert rs.pooled_ccdf == degree_distribution(degrees)[1]
 
+    def test_indegrees_is_the_stored_matrix(self):
+        rs = run_batch(spec())
+        assert rs.indegrees.shape == (3, 60) and rs.indegrees.dtype == np.int64
+        assert not rs.indegrees.flags.writeable
+        for row, report in zip(rs.indegrees, rs.reports):
+            assert dict(zip(*np.unique(row, return_counts=True))) == report.degree_histogram
+
     def test_scalar_stats(self):
         rs = run_batch(spec())
         assert rs.scalar_stats["gini"]["count"] == 3
@@ -128,6 +137,26 @@ class TestExports:
         meta = json.loads((tmp_path / "metrics.json").read_text())
         assert "created_at" not in json.dumps(meta)
         assert meta["provenance"]["spec"]["model"] == "matthew"
+
+    def test_curves_rebuilt_from_run_histograms(self, tmp_path):
+        # metrics.json keeps each run's histogram once; both exported curves
+        # must follow from those histograms alone
+        export_results(run_batch(spec(runs=3, emit_plots=True)), str(tmp_path))
+        meta = json.loads((tmp_path / "metrics.json").read_text())
+        assert set(meta) == {"provenance", "scalar_stats", "per_node_mean_indegree", "runs"}
+        hists = [{int(d): c for d, c in run["degree_histogram"].items()}
+                 for run in meta["runs"]]
+        ranked = [sorted((d for d, c in h.items() for _ in range(c)), reverse=True)
+                  for h in hists]
+        rank = [sum(col) / len(col) for col in zip(*ranked)]
+        pooled = sum(map(Counter, hists), Counter())
+        total = sum(pooled.values())
+        ccdf = [(d, sum(c for e, c in pooled.items() if e >= d) / total)
+                for d in sorted(pooled)]
+        assert (tmp_path / "rank_curve.csv").read_text() == "".join(
+            ["rank,mean_indegree\n"] + [f"{i},{v:.12g}\n" for i, v in enumerate(rank, 1)])
+        assert (tmp_path / "degree_ccdf.csv").read_text() == "".join(
+            ["indegree,ccdf\n"] + [f"{d},{p:.12g}\n" for d, p in ccdf])
 
     def test_nan_never_written(self, tmp_path):
         rs = run_batch(spec())
@@ -171,6 +200,17 @@ class TestSweep:
     def test_requires_p_values(self):
         with pytest.raises(SpecError):
             hybrid_sweep(spec(model="hybrid", p=0.5))
+
+    @pytest.mark.parametrize("sweep,p_values", [([0.1234561, 0.1234564], None),
+                                                (None, [0.5, 0.5]),
+                                                (None, [0.25, 0.2500001, 1.0])])
+    def test_colliding_labels_rejected(self, monkeypatch, sweep, p_values):
+        def no_batch(spec):
+            raise AssertionError("a batch ran before the labels were checked")
+        monkeypatch.setattr(experiment, "run_batch", no_batch)
+        s = spec(model="hybrid", n=20, m_cap=2, p=0.5, sweep=sweep)
+        with pytest.raises(SpecError, match="distinct labels"):
+            hybrid_sweep(s, p_values=p_values)
 
 
 class TestSmallWorldScaling:

@@ -183,6 +183,15 @@ class TestErDirected:
         assert g.edge_count == 12
         g.check_invariants()
 
+    @pytest.mark.parametrize("density", [1e-18, 1e-30, 5e-324])
+    def test_tiny_density_gives_empty_graph(self, density, time_limit):
+        # the geometric gaps here are huge (up to INT64_MAX) and must not overflow
+        with time_limit(5):
+            g = generate_er_directed(cfg(model="er_directed", n=50, m_cap=1,
+                                         density=density, seed=0))
+        assert g.edge_count == 0
+        g.check_invariants()
+
     def test_expected_edge_count(self):
         n, q = 400, 0.01
         counts = [generate_er_directed(cfg(model="er_directed", n=n, m_cap=1,
