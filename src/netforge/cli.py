@@ -10,8 +10,9 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
-from .experiment import (ExperimentSpec, _atomic_write, _write_csv,
+from .experiment import (ExperimentSpec, _atomic_write, _write_csv, _write_json,
                          empirical_ingest, export_results, export_sweep,
                          hybrid_sweep, run_batch)
 from .formation import FormationConfig, generate
@@ -34,8 +35,14 @@ class PropertyViolation(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """Report a usage error as one stderr line, without the usage block."""
+        self.exit(EXIT_VALIDATION, f"error: {self.prog}: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="netforge")
+    ap = _Parser(prog="netforge")
     sub = ap.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("generate", help="generate one network and emit its edge list")
@@ -133,10 +140,9 @@ def _cmd_experiment(args) -> int:
 
 def _cmd_sweep(args) -> int:
     spec = _load_spec(args.spec)
-    p_values = None
     if args.p:
-        p_values = [float(tok) for tok in args.p.split(",") if tok.strip()]
-    rows = hybrid_sweep(spec, p_values=p_values)
+        spec = replace(spec, sweep=[float(tok) for tok in args.p.split(",") if tok.strip()])
+    rows = hybrid_sweep(spec)
     for path in export_sweep(rows, args.out):
         print(path, file=sys.stderr)
     return EXIT_OK
@@ -149,8 +155,7 @@ def _cmd_empirical(args) -> int:
                enumerate(result.normalized_counts, start=1))
     summary = {"n": result.n, "gini": result.gini, "scale": result.scale,
                "target_mean": args.target_mean}
-    _atomic_write(os.path.join(args.out, "summary.json"),
-                  json.dumps(summary, allow_nan=False, indent=1, sort_keys=True) + "\n")
+    _write_json(os.path.join(args.out, "summary.json"), summary)
     print(json.dumps(summary, allow_nan=False, sort_keys=True))
     return EXIT_OK
 
@@ -169,9 +174,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors; report those as validation errors
-        return EXIT_OK if exc.code in (0, None) else EXIT_VALIDATION
+    except SystemExit as exc:       # --help exits 0, a usage error EXIT_VALIDATION
+        return exc.code
     try:
         return _COMMANDS[args.command](args)
     except PropertyViolation as exc:

@@ -11,7 +11,7 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -56,26 +56,25 @@ class ExperimentSpec:
             raise SpecError(f"seed_base must be >= 0, got {self.seed_base}")
         if self.xmin < 1:
             raise SpecError(f"xmin must be >= 1, got {self.xmin}")
-        if self.sweep is not None and not (isinstance(self.sweep, list)
-                                           and all(map(is_real, self.sweep))):
-            raise SpecError(f"sweep must be null or a list of numbers, got {self.sweep!r}")
-        # delegate model/parameter validation to FormationConfig; a hybrid
-        # sweep spec may leave p unset and take it from the sweep list
-        if self.model == "hybrid" and self.p is None and self.sweep:
-            self.config_for_run(0, p=float(self.sweep[0]))
-        else:
-            self.config_for_run(0)
         if self.sweep is not None:
-            for v in self.sweep:
-                if self.model == "hybrid" and not 0.0 <= v <= 1.0:
-                    raise SpecError(f"sweep p value {v} outside [0,1]")
+            if not (isinstance(self.sweep, list) and all(map(is_real, self.sweep))):
+                raise SpecError(f"sweep must be null or a list of numbers, got {self.sweep!r}")
+            if self.model != "hybrid":
+                raise SpecError(f"sweep requires model 'hybrid', got {self.model!r}")
+            labels = [f"{float(p):g}" for p in self.sweep]  # export_sweep's labels
+            if len(set(labels)) < len(labels):
+                raise SpecError(f"sweep p values must have distinct labels, got {labels}")
+            for p in self.sweep:       # build each batch spec that hybrid_sweep runs
+                replace(self, p=float(p), sweep=None)
+        # FormationConfig checks the model parameters; a sweep spec may leave p unset
+        if self.p is not None or not self.sweep:
+            self.config_for_run(0)
 
-    def config_for_run(self, run: int, p: float | None = None) -> FormationConfig:
+    def config_for_run(self, run: int) -> FormationConfig:
         try:
             return FormationConfig(
-                model=self.model, n=self.n, m_cap=self.m_cap,
-                p=self.p if p is None else p, density=self.density,
-                seed=self.seed_base + run)
+                model=self.model, n=self.n, m_cap=self.m_cap, p=self.p,
+                density=self.density, seed=self.seed_base + run)
         except ValueError as exc:
             raise SpecError(str(exc)) from None
 
@@ -87,6 +86,9 @@ class ExperimentSpec:
         unknown = set(d) - known
         if unknown:
             raise SpecError(f"unknown spec keys: {sorted(unknown)}")
+        missing = {f.name for f in fields(cls) if f.default is MISSING} - set(d)
+        if missing:
+            raise SpecError(f"missing spec keys: {sorted(missing)}")
         return cls(**d)
 
     def to_dict(self) -> dict:
@@ -98,8 +100,6 @@ class ResultSet:
     spec: ExperimentSpec
     reports: list[MetricsReport]
     indegrees: np.ndarray = field(repr=False)   # (runs, n) int64, row r: run r's in-degrees
-    scalar_stats: dict = field(default_factory=dict)
-    provenance: dict = field(default_factory=dict)
 
     @property
     def mean_rank_curve(self) -> np.ndarray:
@@ -116,6 +116,26 @@ class ResultSet:
         """In-degree CCDF over all runs' nodes together."""
         return degree_distribution(self.indegrees.ravel())[1]
 
+    @property
+    def scalar_stats(self) -> dict:
+        """Mean, variance and count of each per-run scalar over the runs that report it."""
+        out = {}
+        for name in ("gini", "alpha_hat", "diameter", "avg_path_length", "avg_clustering"):
+            vals = [getattr(r, name) for r in self.reports if getattr(r, name) is not None]
+            if vals:
+                arr = np.asarray(vals, dtype=float)
+                out[name] = {"mean": float(arr.mean()),
+                             "var": float(arr.var(ddof=1)) if len(arr) > 1 else 0.0,
+                             "count": len(arr)}
+        return out
+
+    @property
+    def provenance(self) -> dict:
+        """The spec, the run seeds and the tool version that produced the batch."""
+        return {"spec": self.spec.to_dict(),
+                "seeds": [self.spec.seed_base + r for r in range(self.spec.runs)],
+                "tool_version": __version__}
+
     def to_dict(self) -> dict:
         # both curves follow from the runs' degree histograms; the CSVs carry them
         return {
@@ -125,18 +145,6 @@ class ResultSet:
                                        for v in self.per_node_mean_indegree],
             "runs": [r.to_dict() for r in self.reports],
         }
-
-
-def _scalar_stats(reports: list[MetricsReport]) -> dict:
-    out = {}
-    for name in ("gini", "alpha_hat", "diameter", "avg_path_length", "avg_clustering"):
-        vals = [getattr(r, name) for r in reports if getattr(r, name) is not None]
-        if vals:
-            arr = np.asarray(vals, dtype=float)
-            out[name] = {"mean": float(arr.mean()),
-                         "var": float(arr.var(ddof=1)) if len(arr) > 1 else 0.0,
-                         "count": len(arr)}
-    return out
 
 
 def run_batch(spec: ExperimentSpec) -> ResultSet:
@@ -150,17 +158,7 @@ def run_batch(spec: ExperimentSpec) -> ResultSet:
         indeg[r] = g.degrees_snapshot()[0]
         reports.append(compute_report(g, xmin=spec.xmin, with_paths=spec.full_metrics))
     indeg.flags.writeable = False
-    return ResultSet(
-        spec=spec,
-        reports=reports,
-        indegrees=indeg,
-        scalar_stats=_scalar_stats(reports),
-        provenance={
-            "spec": spec.to_dict(),
-            "seeds": [spec.seed_base + r for r in range(spec.runs)],
-            "tool_version": __version__,
-        },
-    )
+    return ResultSet(spec=spec, reports=reports, indegrees=indeg)
 
 
 @dataclass
@@ -173,21 +171,15 @@ class SweepRow:
     result: ResultSet
 
 
-def hybrid_sweep(spec: ExperimentSpec, p_values: list[float] | None = None) -> list[SweepRow]:
-    """Per-p hybrid batches. The headline Gini is taken over the per-node mean
-    in-degree curve (the empirical estimate of each node's expected in-degree);
-    the sorted-curve and per-run Ginis are reported alongside."""
-    ps = p_values if p_values is not None else spec.sweep
-    if not ps:
-        raise SpecError("hybrid_sweep requires p values (spec.sweep or p_values)")
-    labels = [f"{float(p):g}" for p in ps]      # export_sweep's file and row labels
-    if len(set(labels)) < len(labels):
-        raise SpecError(f"sweep p values must have distinct labels, got {labels}")
+def hybrid_sweep(spec: ExperimentSpec) -> list[SweepRow]:
+    """One hybrid batch per spec.sweep value. The headline Gini is taken over the
+    per-node mean in-degree curve (the empirical estimate of each node's expected
+    in-degree); the sorted-curve and per-run Ginis are reported alongside."""
+    if not spec.sweep:
+        raise SpecError("hybrid_sweep requires a non-empty spec.sweep")
     rows = []
-    for p in ps:
-        sub = ExperimentSpec(**{**spec.to_dict(), "model": "hybrid", "p": float(p),
-                                "sweep": None})
-        rs = run_batch(sub)
+    for p in spec.sweep:
+        rs = run_batch(replace(spec, p=float(p), sweep=None))
         run_ginis = np.array([r.gini for r in rs.reports])
         rows.append(SweepRow(
             p=float(p),
@@ -287,7 +279,8 @@ def empirical_ingest(text: str, target_mean: float) -> EmpiricalResult:
 # -- exports -----------------------------------------------------------------
 
 
-def _atomic_write(path: str, data: str) -> None:
+def _atomic_write(path: str, data: str) -> str:
+    """Write data to path through a temporary file and a rename. Returns path."""
     d = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-")
     try:
@@ -298,41 +291,43 @@ def _atomic_write(path: str, data: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+    return path
 
 
 def _write_csv(path: str, header: str, rows) -> str:
     """Atomically write the header and one line per (key, *values) tuple: the
     key as is, each value as %.12g. Returns path."""
     line = "%s" + ",%.12g" * header.count(",") + "\n"
-    _atomic_write(path, header + "\n" + "".join([line % row for row in rows]))
-    return path
+    return _atomic_write(path, header + "\n" + "".join([line % row for row in rows]))
+
+
+def _write_json(path: str, obj) -> str:
+    """Atomically write obj as sorted, indented JSON; NaN is an error. Returns path."""
+    return _atomic_write(path, json.dumps(obj, allow_nan=False, indent=1, sort_keys=True)
+                         + "\n")
 
 
 def export_results(rs: ResultSet, out_dir: str) -> list[str]:
     """Write metrics.json, rank_curve.csv, degree_ccdf.csv (and SVG charts when
     rs.spec.emit_plots is set) atomically. Returns the written paths."""
     os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, "metrics.json")
-    text = json.dumps(rs.to_dict(), allow_nan=False, indent=1, sort_keys=True)
-    _atomic_write(path, text + "\n")
     rank = list(enumerate(rs.mean_rank_curve, start=1))
     ccdf = rs.pooled_ccdf
-    written = [path,
+    written = [_write_json(os.path.join(out_dir, "metrics.json"), rs.to_dict()),
                _write_csv(os.path.join(out_dir, "rank_curve.csv"), "rank,mean_indegree", rank),
                _write_csv(os.path.join(out_dir, "degree_ccdf.csv"), "indegree,ccdf", ccdf)]
     if rs.spec.emit_plots:
-        path = os.path.join(out_dir, "rank_curve.svg")
-        _atomic_write(path, loglog_svg(rank, "Mean in-degree vs rank",
-                                       "rank", "mean in-degree"))
-        written.append(path)
-        path = os.path.join(out_dir, "degree_ccdf.svg")
-        _atomic_write(path, loglog_svg(ccdf, "In-degree CCDF", "in-degree", "P[D >= d]"))
-        written.append(path)
+        written += [
+            _atomic_write(os.path.join(out_dir, "rank_curve.svg"),
+                          loglog_svg(rank, "Mean in-degree vs rank", "rank", "mean in-degree")),
+            _atomic_write(os.path.join(out_dir, "degree_ccdf.svg"),
+                          loglog_svg(ccdf, "In-degree CCDF", "in-degree", "P[D >= d]"))]
     return written
 
 
 def export_sweep(rows: list[SweepRow], out_dir: str) -> list[str]:
-    """Write sweep_gini.csv plus a per-p rank curve file for each batch."""
+    """Write sweep_gini.csv, a per-p rank curve file for each batch and
+    provenance.json, the list of each batch's provenance (full-precision p)."""
     os.makedirs(out_dir, exist_ok=True)
     written = [_write_csv(os.path.join(out_dir, f"rank_curve_p{row.p:g}.csv"),
                           "rank,mean_indegree", enumerate(row.result.mean_rank_curve, start=1))
@@ -342,4 +337,6 @@ def export_sweep(rows: list[SweepRow], out_dir: str) -> list[str]:
         "p,gini_expected_curve,gini_rank_curve,gini_run_mean,gini_run_sd",
         [(f"{row.p:g}", row.gini_expected_curve, row.gini_rank_curve, row.gini_run_mean,
           row.gini_run_sd) for row in rows]))
+    written.append(_write_json(os.path.join(out_dir, "provenance.json"),
+                               [row.result.provenance for row in rows]))
     return written

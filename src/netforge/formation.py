@@ -1,6 +1,6 @@
 """Network generators: meritocracy, Matthew-effect, their probabilistic hybrid, and directed ER.
 
-All generators are deterministic given (config, seed) and single-threaded.
+All generators seed from config.seed alone and are single-threaded.
 Quality is represented purely by node id order: id 1 is the highest-quality node.
 """
 
@@ -14,6 +14,9 @@ import numpy as np
 from .graph import DirectedGraph
 
 MODELS = ("meritocracy", "matthew", "hybrid", "er_directed")
+# Limit on a hybrid run's expected events below p = 1, which are at most n * m_cap / (1 - p):
+# each event is a Matthew step with probability 1 - p, and each of those adds an edge.
+MAX_HYBRID_EVENTS = 10 ** 9
 
 
 class ConfigError(ValueError):
@@ -54,13 +57,12 @@ class FormationConfig:
         if self.model == "hybrid":
             if not is_real(self.p) or not 0.0 <= self.p <= 1.0:
                 raise ConfigError(f"hybrid requires p in [0,1], got {self.p!r}")
+            if self.p < 1.0 and self.n * self.m_cap > MAX_HYBRID_EVENTS * (1.0 - self.p):
+                raise ConfigError(f"hybrid p={self.p!r} is too close to 1: up to n*m_cap/(1-p)"
+                                  f" = {self.n * self.m_cap / (1 - self.p):.3g} expected events")
         if self.model == "er_directed":
             if not is_real(self.density) or not 0.0 <= self.density <= 1.0:
                 raise ConfigError(f"er_directed requires density in [0,1], got {self.density!r}")
-
-
-def _rng_for(config: FormationConfig, rng) -> np.random.Generator:
-    return np.random.default_rng(config.seed) if rng is None else rng
 
 
 def _uniforms(rng: np.random.Generator):
@@ -114,7 +116,7 @@ def merit_followee_matrix(n: int, m_cap: int, rng: np.random.Generator,
     return out
 
 
-def generate_meritocracy(config: FormationConfig, rng=None) -> DirectedGraph:
+def generate_meritocracy(config: FormationConfig) -> DirectedGraph:
     """Quality-driven formation: a node follows a candidate only if it beats
     every current followee; stops at the best node or at m_cap followees.
 
@@ -122,51 +124,51 @@ def generate_meritocracy(config: FormationConfig, rng=None) -> DirectedGraph:
     event process (`generate_hybrid` at p = 1) has the same equilibrium
     distribution.
     """
-    rng = _rng_for(config, rng)
-    n, m = config.n, config.m_cap
-    mat = merit_followee_matrix(n, m, rng)
+    mat = merit_followee_matrix(config.n, config.m_cap, np.random.default_rng(config.seed))
     rows, cols = np.nonzero(mat)
-    return DirectedGraph._from_out_adj(n, rows + 1, mat[rows, cols])
+    return DirectedGraph._from_out_adj(config.n, rows + 1, mat[rows, cols])
 
 
 # -- event-driven models: Matthew effect and hybrid --------------------------
 
 
-def _event_loop(n: int, m: int, p: float, rng: np.random.Generator) -> DirectedGraph:
+def _event_loop(n: int, m: int, p: float, seed: int) -> DirectedGraph:
     """Shared event loop: each event picks an active node i uniformly, then with
     probability p attempts one meritocracy step (uniform candidate, accepted only
     if it beats all current followees) and otherwise performs one Matthew draw:
     capped preferential attachment with target weight in-degree + 1 (the virtual
     self-link), illegal targets (self, already-followed) rejected and redrawn.
-    p = 0 is the Matthew model exactly; the merit coin is drawn, and the best
-    followee tracked, only when p > 0.
+    p = 0 is the Matthew model exactly; the merit coin is drawn, and the merit
+    state kept, only when p > 0. Node i's merit state `better[i]` counts the
+    other nodes that beat its best followee; a merit candidate x indexes the
+    other nodes in id order, so the step succeeds iff x < better[i].
 
     Weighted target sampling uses a repeated-endpoint pool (one entry per unit
     of weight), giving O(1) draws with exact proportionality.
 
-    A node stays active until its out-degree reaches m; for p == 1 it also
-    leaves the active list once it follows the best available node (meritocracy
-    equilibrium), since no further event can ever succeed for it. A finished
-    node is swap-removed at its index in the active list.
+    A node stays active until its out-degree reaches m or, at p == 1, until
+    better[i] is 0 (meritocracy equilibrium: no further event can succeed for
+    it); a finished node is swap-removed at its index in the active list.
     """
     followees: list[set[int]] = [set() for _ in range(n)]
     src: list[int] = []                     # edges in creation order
-    best_follow = [n + 2] * (n + 1)         # min followee id per node, sentinel
+    better = [n - 1] * (n + 1)              # no followee yet: every other node beats it
     pool = list(range(1, n + 1))            # virtual self-links, then edge targets
     active = list(range(1, n + 1))
-    u = _uniforms(rng).__next__
-    merit = p > 0.0                         # best_follow is read only by merit steps
+    u = _uniforms(np.random.default_rng(seed)).__next__
+    merit = p > 0.0                         # better is read only by merit steps
     pure_merit = p == 1.0
     while active:
         k = int(u() * len(active))
         i = active[k]
         mine = followees[i - 1]
         if merit and u() < p:
-            j = int(u() * (n - 1)) + 1
+            x = u() * (n - 1)
+            if x >= better[i]:
+                continue                    # no-op event
+            j = int(x) + 1
             if j >= i:
                 j += 1
-            if j >= best_follow[i]:
-                continue                    # no-op event
         else:
             while True:
                 j = pool[int(u() * len(pool))]
@@ -174,38 +176,40 @@ def _event_loop(n: int, m: int, p: float, rng: np.random.Generator) -> DirectedG
                     break
         src.append(i)
         mine.add(j)
-        if merit and j < best_follow[i]:
-            best_follow[i] = j
+        if merit:
+            c = j - 2 if j > i else j - 1   # other nodes that beat j
+            if c < better[i]:
+                better[i] = c
         pool.append(j)
-        if len(mine) == m or (pure_merit and best_follow[i] == (2 if i == 1 else 1)):
+        if len(mine) == m or (pure_merit and better[i] == 0):
             active[k] = active[-1]
             active.pop()
     return DirectedGraph._from_out_adj(n, src, pool[n:])
 
 
-def generate_matthew(config: FormationConfig, rng=None) -> DirectedGraph:
+def generate_matthew(config: FormationConfig) -> DirectedGraph:
     """Capped preferential attachment: the event loop at p = 0 (exactly the
     Matthew model). Source uniform among nodes with out-degree < m_cap; target
     weight in-degree + 1. Terminates with exactly m_cap * n edges."""
-    return _event_loop(config.n, config.m_cap, 0.0, _rng_for(config, rng))
+    return _event_loop(config.n, config.m_cap, 0.0, config.seed)
 
 
-def generate_hybrid(config: FormationConfig, rng=None) -> DirectedGraph:
+def generate_hybrid(config: FormationConfig) -> DirectedGraph:
     """Per-event probabilistic mixture: meritocracy step with probability p,
     Matthew step with 1-p. p = 0 is the Matthew model exactly (same graph as
     `generate_matthew` for the same seed); p = 1 is the meritocracy event
     process, distributed as `generate_meritocracy`."""
-    return _event_loop(config.n, config.m_cap, float(config.p), _rng_for(config, rng))
+    return _event_loop(config.n, config.m_cap, float(config.p), config.seed)
 
 
 # -- directed Erdos-Renyi ----------------------------------------------------
 
 
-def generate_er_directed(config: FormationConfig, rng=None) -> DirectedGraph:
+def generate_er_directed(config: FormationConfig) -> DirectedGraph:
     """Each ordered pair (i, j), i != j, carries an edge independently with
     probability `density`. Sparse densities use geometric gap-skipping over the
     n*(n-1) pair index space."""
-    rng = _rng_for(config, rng)
+    rng = np.random.default_rng(config.seed)
     n = config.n
     q = float(config.density)
     total = n * (n - 1)
@@ -234,9 +238,9 @@ _GENERATORS = {
 }
 
 
-def generate(config: FormationConfig, rng=None) -> DirectedGraph:
+def generate(config: FormationConfig) -> DirectedGraph:
     """Dispatch on config.model."""
-    return _GENERATORS[config.model](config, rng)
+    return _GENERATORS[config.model](config)
 
 
 def matched_er_density(n: int, m_cap: int) -> float:

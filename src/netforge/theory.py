@@ -72,18 +72,17 @@ def recursion_table(n: int, m_cap: int) -> TheoryTable:
 
 def exact_expected_indegree(n: int, m_cap: int) -> CurveSpec:
     """Meritocracy expected in-degree at rank i: sum over subset sizes
-    k < m_cap of the elementary symmetric polynomial e_k(1/i, ..., 1/(n-1)),
-    computed by the incremental e_k recurrence in O(n * m_cap)."""
+    k < m_cap of the elementary symmetric polynomial e_k(1/i, ..., 1/(n-1)).
+    By the recurrence e_k(i) = e_k(i+1) + (1/i) e_{k-1}(i+1), each e_k row is
+    one reversed cumulative sum over the previous row."""
     _validate(n, m_cap)
-    values = np.empty(n)
-    values[n - 1] = 1.0
-    e = np.zeros(m_cap)
-    e[0] = 1.0
-    for i in range(n - 1, 0, -1):
-        x = 1.0 / i
-        if m_cap > 1:
-            e[1:] += x * e[:-1]
-        values[i - 1] = e.sum()
+    inv = 1.0 / np.arange(1, n)             # 1/i for ranks i = 1..n-1
+    e = np.ones(n)                          # e_0 at every rank
+    values = e.copy()
+    for _ in range(1, m_cap):
+        # e_k(n) = 0: the polynomial of the empty set
+        e = np.append(np.cumsum((inv * e[1:])[::-1])[::-1], 0.0)
+        values += e
     return CurveSpec(n=n, m_cap=m_cap, values=values, name="exact")
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from netforge import DirectedGraph, exact_expected_indegree
+from netforge import DirectedGraph, exact_expected_indegree, experiment
 from netforge.theory import CURVE_FUNCS
 from netforge.cli import main
 
@@ -58,9 +58,19 @@ class TestGenerate:
         assert err.startswith("error:") and len(err.splitlines()) == 1
         assert "seed" in err and "-1" in err
 
+    def test_hybrid_p_just_below_1_exit_1(self, capsys, time_limit):
+        with time_limit(10):
+            code, out, err = run(capsys, "generate", "--model", "hybrid", "--n", "3",
+                                 "--m", "2", "--seed", "0", "--p", "0.9999999999999999")
+        assert code == 1 and out == ""
+        assert err.startswith("error: hybrid p=") and len(err.splitlines()) == 1
+
     def test_usage_error_exit_1(self, capsys):
-        assert run(capsys, "generate", "--model", "merit")[0] == 1
-        assert run(capsys, "nonsense")[0] == 1
+        for argv in (["generate", "--model", "merit"], ["nonsense"]):
+            code, out, err = run(capsys, *argv)
+            assert code == 1 and out == ""
+            assert err.startswith("error: netforge") and len(err.splitlines()) == 1, argv
+        assert run(capsys, "generate", "--help")[0] == 0
 
 
 class TestTheory:
@@ -131,6 +141,10 @@ class TestMetrics:
         assert run(capsys, "metrics", "--in", str(edges))[0] == 1
 
 
+def _no_batch(spec):
+    raise AssertionError("a batch ran before the spec was checked")
+
+
 class TestExperiment:
     def test_batch_and_sweep(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"
@@ -168,7 +182,9 @@ class TestExperiment:
         ({"sweep": [0.1234561, 0.1234564]}, None),
         ({"p": 0.5}, "0.5,0.5"),
         ({"p": 0.5}, "0.25,0.7500001,0.75")])
-    def test_colliding_sweep_labels_exit_1(self, tmp_path, capsys, spec_fields, p_arg):
+    def test_colliding_sweep_labels_exit_1(self, tmp_path, capsys, monkeypatch,
+                                           spec_fields, p_arg):
+        monkeypatch.setattr(experiment, "run_batch", _no_batch)
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"model": "hybrid", "n": 20, "m_cap": 2, "runs": 1,
                                     **spec_fields}))
@@ -178,6 +194,29 @@ class TestExperiment:
         assert code == 1 and out == ""
         assert err.startswith("error: sweep p values") and len(err.splitlines()) == 1
         assert not out_dir.exists()
+
+    def test_sweep_p_out_of_range_exit_1(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(experiment, "run_batch", _no_batch)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"model": "hybrid", "n": 20, "m_cap": 2, "p": 0.5}))
+        out_dir = tmp_path / "out"
+        code, out, err = run(capsys, "sweep", "--spec", str(spec), "--out", str(out_dir),
+                             "--p", "0.5,1.5")
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "1.5" in err and len(err.splitlines()) == 1
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("command", ["experiment", "sweep"])
+    def test_sweep_on_non_hybrid_exit_1(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.setattr(experiment, "run_batch", _no_batch)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"model": "matthew", "n": 20, "m_cap": 2,
+                                    "sweep": [0.5]}))
+        code, out, err = run(capsys, command, "--spec", str(spec),
+                             "--out", str(tmp_path / "o"))
+        assert code == 1 and out == ""
+        assert err == "error: sweep requires model 'hybrid', got 'matthew'\n"
+        assert not (tmp_path / "o").exists()
 
     def test_unknown_key_exit_1(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"
@@ -313,9 +352,41 @@ def _metrics_argv(draw, edge_file):
     return argv + draw(st.sampled_from([[], ["--full"]]))
 
 
+# a spec key maps to a well-typed small value or, as often, to junk
+_JUNK = st.one_of(st.none(), st.booleans(), st.text(max_size=3), st.integers(-3, 3),
+                  st.floats(), st.lists(st.integers(0, 1), max_size=2),
+                  st.dictionaries(st.text(max_size=2), st.integers(), max_size=1))
+_SPEC_VALUES = {
+    "model": st.sampled_from(["meritocracy", "matthew", "hybrid", "er_directed", "er"]),
+    "n": st.integers(-1, 30), "m_cap": st.integers(0, 6),
+    "p": st.floats(-0.5, 1.5), "density": st.floats(-0.5, 1.5),
+    "runs": st.integers(0, 3), "seed_base": st.integers(-1, 5),
+    "sweep": st.lists(st.floats(-0.5, 1.5), max_size=3),
+    "emit_plots": st.booleans(), "xmin": st.integers(0, 12), "full_metrics": st.booleans(),
+    "bogus": st.integers(0, 1), "": st.none(),
+}
+
+
+@st.composite
+def _spec_argv(draw, spec_file, out_dir):
+    keys = draw(st.lists(st.sampled_from(sorted(_SPEC_VALUES)), unique=True))
+    spec = {k: draw(st.one_of(_SPEC_VALUES[k], _JUNK)) for k in keys}
+    spec_file.write_text(json.dumps(spec))
+    command = draw(st.sampled_from(["experiment", "sweep"]))
+    argv = [command, "--spec", str(spec_file), "--out", str(out_dir)]
+    if command == "sweep" and draw(st.booleans()):
+        argv += ["--p", ",".join(map(repr, draw(st.lists(st.floats(-0.5, 1.5), max_size=3))))]
+    return argv
+
+
 @pytest.fixture(scope="module")
-def edge_file(tmp_path_factory):
-    return tmp_path_factory.mktemp("fuzz") / "edges.csv"
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@pytest.fixture(scope="module")
+def edge_file(fuzz_dir):
+    return fuzz_dir / "edges.csv"
 
 
 def _exit_code(argv, time_limit):
@@ -344,3 +415,16 @@ def test_fuzz_theory_exit_codes(argv, time_limit):
 @given(data=st.data())
 def test_fuzz_metrics_exit_codes(data, edge_file, time_limit):
     assert _exit_code(data.draw(_metrics_argv(edge_file)), time_limit) in (0, 1, 2, 3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_fuzz_spec_exit_codes(data, fuzz_dir, time_limit):
+    argv = data.draw(_spec_argv(fuzz_dir / "spec.json", fuzz_dir / "out"))
+    out, err = io.StringIO(), io.StringIO()
+    with time_limit(10), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1)
+    assert "Traceback" not in err.getvalue()
+    if code == 1:
+        assert err.getvalue().startswith("error:") and len(err.getvalue().splitlines()) == 1

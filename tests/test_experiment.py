@@ -28,6 +28,11 @@ class TestSpec:
         with pytest.raises(SpecError, match="unknown spec keys"):
             ExperimentSpec.from_dict({"model": "matthew", "n": 10, "bogus": 1})
 
+    @pytest.mark.parametrize("doc", [{}, {"model": "matthew"}, {"n": 10}])
+    def test_missing_key_rejected(self, doc):
+        with pytest.raises(SpecError, match="missing spec keys"):
+            ExperimentSpec.from_dict(doc)
+
     def test_bad_runs(self):
         with pytest.raises(SpecError):
             spec(runs=0)
@@ -66,6 +71,12 @@ class TestSpec:
     def test_sweep_p_out_of_range(self):
         with pytest.raises(SpecError):
             spec(model="hybrid", sweep=[0.5, 1.5])
+
+    @pytest.mark.parametrize("model,extra", [("matthew", {}), ("meritocracy", {}),
+                                             ("er_directed", {"density": 0.1})])
+    def test_sweep_requires_hybrid(self, model, extra):
+        with pytest.raises(SpecError, match="sweep requires model 'hybrid'"):
+            spec(model=model, sweep=[0.5], **extra)
 
     def test_seeds(self):
         s = spec()
@@ -160,7 +171,7 @@ class TestExports:
 
     def test_nan_never_written(self, tmp_path):
         rs = run_batch(spec())
-        rs.scalar_stats["gini"]["mean"] = float("nan")
+        rs.reports[0].gini = float("nan")
         with pytest.raises(ValueError):
             export_results(rs, str(tmp_path))
         assert not (tmp_path / "metrics.json").exists()
@@ -183,6 +194,15 @@ class TestExports:
         assert (tmp_path / "rank_curve_p0.csv").exists()
         assert (tmp_path / "rank_curve_p1.csv").exists()
 
+    def test_sweep_provenance_keeps_full_precision_p(self, tmp_path):
+        ps = [1 / 3, 0.1234561, 0.9]        # the first two have 6-digit labels
+        rows = hybrid_sweep(spec(model="hybrid", n=20, m_cap=2, runs=2, sweep=ps))
+        export_sweep(rows, str(tmp_path))
+        prov = json.loads((tmp_path / "provenance.json").read_text())
+        assert [entry["spec"]["p"] for entry in prov] == ps
+        assert [entry["seeds"] for entry in prov] == [[5, 6]] * 3
+        assert prov == [row.result.provenance for row in rows]
+
 
 class TestSweep:
     def test_rows_match_direct_batches(self):
@@ -201,16 +221,14 @@ class TestSweep:
         with pytest.raises(SpecError):
             hybrid_sweep(spec(model="hybrid", p=0.5))
 
-    @pytest.mark.parametrize("sweep,p_values", [([0.1234561, 0.1234564], None),
-                                                (None, [0.5, 0.5]),
-                                                (None, [0.25, 0.2500001, 1.0])])
-    def test_colliding_labels_rejected(self, monkeypatch, sweep, p_values):
+    @pytest.mark.parametrize("sweep", [[0.1234561, 0.1234564], [0.5, 0.5],
+                                       [0.25, 0.2500001, 1.0]])
+    def test_colliding_labels_rejected(self, monkeypatch, sweep):
         def no_batch(spec):
             raise AssertionError("a batch ran before the labels were checked")
         monkeypatch.setattr(experiment, "run_batch", no_batch)
-        s = spec(model="hybrid", n=20, m_cap=2, p=0.5, sweep=sweep)
         with pytest.raises(SpecError, match="distinct labels"):
-            hybrid_sweep(s, p_values=p_values)
+            hybrid_sweep(spec(model="hybrid", n=20, m_cap=2, p=0.5, sweep=sweep))
 
 
 class TestSmallWorldScaling:

@@ -47,6 +47,16 @@ class TestConfig:
         with pytest.raises(ConfigError, match=key):
             cfg(**{**base, key: value})
 
+    def test_hybrid_work_bound(self):
+        # below p = 1 a run expects up to n * m_cap / (1 - p) events
+        with pytest.raises(ConfigError, match="too close to 1"):
+            cfg(model="hybrid", n=3, m_cap=2, p=1 - 2.0 ** -53)
+        with pytest.raises(ConfigError, match="too close to 1"):
+            cfg(model="hybrid", n=10_000, m_cap=5, p=0.99999)
+        cfg(model="hybrid", n=10_000, m_cap=5, p=0.9999)   # 5e8 events
+        cfg(model="hybrid", n=10 ** 9, m_cap=5, p=1.0)      # p = 1 retires nodes instead
+        assert generate(cfg(model="hybrid", n=3, m_cap=2, p=0.999)).edge_count == 6
+
     def test_numpy_scalars_accepted(self):
         c = cfg(model="hybrid", n=np.int64(10), m_cap=np.int32(2), p=np.float64(0.5))
         assert generate(c).edge_count == 20
@@ -100,12 +110,11 @@ class TestMeritocracy:
         n, m, runs = 8, 3, 4000
         acc = {}
         for method in ("records", "event_loop"):
-            rng = np.random.default_rng(11)
             total = np.zeros(n)
             for r in range(runs):
-                g = (generate_meritocracy(cfg(model="meritocracy", n=n, m_cap=m, seed=0), rng)
+                g = (generate_meritocracy(cfg(model="meritocracy", n=n, m_cap=m, seed=r))
                      if method == "records" else
-                     generate_hybrid(cfg(model="hybrid", n=n, m_cap=m, p=1.0, seed=0), rng))
+                     generate_hybrid(cfg(model="hybrid", n=n, m_cap=m, p=1.0, seed=r)))
                 total += g.in_degree
             acc[method] = total / runs
         # both estimate the same expected in-degree curve
@@ -154,14 +163,12 @@ class TestHybrid:
 
     def test_endpoint_p1_matches_meritocracy(self):
         n, m, runs = 30, 3, 2000
-        rng_h = np.random.default_rng(4)
-        rng_r = np.random.default_rng(5)
         h = np.zeros(n)
         mr = np.zeros(n)
-        base = dict(n=n, m_cap=m, seed=0)
-        for _ in range(runs):
-            h += generate_hybrid(cfg(model="hybrid", p=1.0, **base), rng_h).in_degree
-            mr += generate_meritocracy(cfg(model="meritocracy", **base), rng_r).in_degree
+        for r in range(runs):       # disjoint seeds keep the two samples independent
+            h += generate_hybrid(cfg(model="hybrid", n=n, m_cap=m, p=1.0, seed=r)).in_degree
+            mr += generate_meritocracy(cfg(model="meritocracy", n=n, m_cap=m,
+                                           seed=runs + r)).in_degree
         assert np.allclose(h / runs, mr / runs, rtol=0.1, atol=0.15)
 
     def test_all_invariants_mid_p(self):

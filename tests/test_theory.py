@@ -62,6 +62,28 @@ class TestExactCurve:
         assert np.max(np.abs(rec - exact) / exact) < 1e-10
 
 
+def _exact_loop(n, m_cap):
+    """The e_k recurrence one rank at a time: the reference for the cumsum form."""
+    values = np.empty(n)
+    values[n - 1] = 1.0
+    e = np.zeros(m_cap)
+    e[0] = 1.0
+    for i in range(n - 1, 0, -1):
+        e[1:] += (1.0 / i) * e[:-1]
+        values[i - 1] = e.sum()
+    return values
+
+
+@pytest.mark.parametrize("n,m", [(n, m) for n in (2, 3, 10, 100, 1000)
+                                 for m in (1, 2, 3, 5, 7, 8, 12) if m < n])
+def test_exact_matches_rank_loop(n, m):
+    loop, fast = _exact_loop(n, m), exact_expected_indegree(n, m).values
+    if m < 8:       # same additions in the same order
+        assert np.array_equal(fast, loop)
+    else:           # numpy sums 8 or more terms as partial sums
+        assert np.max(np.abs(fast - loop) / loop) <= m * np.finfo(float).eps
+
+
 class TestOracle:
     def test_n3_m2(self):
         assert np.allclose(brute_force_oracle(3, 2).values, [2.0, 1.5, 1.0])
