@@ -150,7 +150,10 @@ class ResultSet:
 def run_batch(spec: ExperimentSpec) -> ResultSet:
     """Execute spec.runs independent generations (seeds seed_base + r), compute
     per-run metrics, and keep the runs' in-degree vectors, from which the
-    ResultSet derives its curves."""
+    ResultSet derives its curves. A spec with a sweep is run by hybrid_sweep."""
+    if spec.sweep is not None:
+        raise SpecError("run_batch runs one batch; a spec with a sweep needs hybrid_sweep"
+                        " (netforge sweep)")
     reports: list[MetricsReport] = []
     indeg = np.empty((spec.runs, spec.n), dtype=np.int64)    # row r: run r's in-degrees
     for r in range(spec.runs):

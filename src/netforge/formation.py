@@ -14,9 +14,6 @@ import numpy as np
 from .graph import DirectedGraph
 
 MODELS = ("meritocracy", "matthew", "hybrid", "er_directed")
-# Limit on a hybrid run's expected events below p = 1, which are at most n * m_cap / (1 - p):
-# each event is a Matthew step with probability 1 - p, and each of those adds an edge.
-MAX_HYBRID_EVENTS = 10 ** 9
 
 
 class ConfigError(ValueError):
@@ -57,9 +54,6 @@ class FormationConfig:
         if self.model == "hybrid":
             if not is_real(self.p) or not 0.0 <= self.p <= 1.0:
                 raise ConfigError(f"hybrid requires p in [0,1], got {self.p!r}")
-            if self.p < 1.0 and self.n * self.m_cap > MAX_HYBRID_EVENTS * (1.0 - self.p):
-                raise ConfigError(f"hybrid p={self.p!r} is too close to 1: up to n*m_cap/(1-p)"
-                                  f" = {self.n * self.m_cap / (1 - self.p):.3g} expected events")
         if self.model == "er_directed":
             if not is_real(self.density) or not 0.0 <= self.density <= 1.0:
                 raise ConfigError(f"er_directed requires density in [0,1], got {self.density!r}")
@@ -133,57 +127,105 @@ def generate_meritocracy(config: FormationConfig) -> DirectedGraph:
 
 
 def _event_loop(n: int, m: int, p: float, seed: int) -> DirectedGraph:
-    """Shared event loop: each event picks an active node i uniformly, then with
-    probability p attempts one meritocracy step (uniform candidate, accepted only
-    if it beats all current followees) and otherwise performs one Matthew draw:
-    capped preferential attachment with target weight in-degree + 1 (the virtual
-    self-link), illegal targets (self, already-followed) rejected and redrawn.
-    p = 0 is the Matthew model exactly; the merit coin is drawn, and the merit
-    state kept, only when p > 0. Node i's merit state `better[i]` counts the
-    other nodes that beat its best followee; a merit candidate x indexes the
-    other nodes in id order, so the step succeeds iff x < better[i].
+    """Shared event loop, run as its jump chain: every drawn event adds an edge.
+
+    The process it samples: each event picks an active node i (out-degree < m)
+    uniformly, then with probability p attempts one meritocracy step (uniform
+    candidate among the other n - 1 nodes, accepted only if it beats all current
+    followees) and otherwise performs one Matthew draw: capped preferential
+    attachment with target weight in-degree + 1 (the virtual self-link), illegal
+    targets (self, already-followed) rejected and redrawn.
+
+    Node i's merit state `better[i]` counts the other nodes that beat its best
+    followee, so i adds an edge with weight (1 - p) + p * better[i] / (n - 1).
+    The loop simulates only those events (the n-fold way of Bortz, Kalos &
+    Lebowitz 1975; Gillespie 1977): one uniform over the total weight
+    W = (1 - p) * len(active) + p * B / (n - 1), with B the sum of `better`
+    over active nodes, picks either a Matthew step of a uniform active node or
+    a merit step of a node drawn in proportion to `better[i]` by descent in a
+    Fenwick tree over node ids. The merit candidate is then uniform over i's
+    better set (a merit candidate x indexes the other nodes in id order), so
+    the step always succeeds. A node's tree entry changes only when its
+    `better[i]` drops or it reaches m followees (weight 0). The loop ends when
+    W is 0: every node is full or, at p = 1, at meritocracy equilibrium.
+    p = 0 is the Matthew model exactly: no merit state is kept and each event
+    is one uniform pick of an active node.
 
     Weighted target sampling uses a repeated-endpoint pool (one entry per unit
-    of weight), giving O(1) draws with exact proportionality.
-
-    A node stays active until its out-degree reaches m or, at p == 1, until
-    better[i] is 0 (meritocracy equilibrium: no further event can succeed for
-    it); a finished node is swap-removed at its index in the active list.
+    of weight), giving O(1) draws with exact proportionality. A full node is
+    swap-removed at its index in the active list.
     """
-    followees: list[set[int]] = [set() for _ in range(n)]
+    n = int(n)                              # a numpy integer n would slow every step
+    followees: list[set[int]] = [set() for _ in range(n + 1)]    # by node id; 0 unused
     src: list[int] = []                     # edges in creation order
-    better = [n - 1] * (n + 1)              # no followee yet: every other node beats it
     pool = list(range(1, n + 1))            # virtual self-links, then edge targets
     active = list(range(1, n + 1))
+    where = list(range(-1, n))              # where[i]: index of node i in active
     u = _uniforms(np.random.default_rng(seed)).__next__
-    merit = p > 0.0                         # better is read only by merit steps
-    pure_merit = p == 1.0
+    merit = p > 0.0                         # merit state is kept only when p > 0
+    if merit:
+        matthew_w = 1.0 - p                 # weight of an active node's Matthew step
+        merit_w = p / (n - 1)               # weight of each node that beats i's best
+        better = [n - 1] * (n + 1)          # no followee yet: every other node beats it
+        size = 1 << n.bit_length()          # Fenwick tree over ids 1..n, zero-padded
+        steps = [size >> b for b in range(1, n.bit_length() + 1)]    # descent strides
+        ids = np.arange(size + 1)           # tree[t] sums the ids in (t - lowbit(t), t]
+        tree = ((n - 1) * np.clip(np.minimum(ids, n) - (ids - (ids & -ids)), 0, None)).tolist()
+        total = (n - 1) * n                 # B: sum of better over active nodes
     while active:
-        k = int(u() * len(active))
-        i = active[k]
-        mine = followees[i - 1]
-        if merit and u() < p:
-            x = u() * (n - 1)
-            if x >= better[i]:
-                continue                    # no-op event
-            j = int(x) + 1
-            if j >= i:
-                j += 1
+        j = 0                               # no merit candidate: a Matthew step draws j
+        if merit:
+            live = len(active)
+            a = matthew_w * live
+            w = a + merit_w * total
+            if not w:
+                break                       # p = 1, every active node at equilibrium
+            x = u() * w
+            if x < a:
+                k = int(x / matthew_w)
+                i = active[k if k < live else live - 1]     # float rounding
+            else:
+                y = int((x - a) / merit_w)
+                if y >= total:
+                    y = total - 1
+                i = 0                       # descend to the node holding rank y
+                for step in steps:
+                    t = tree[i + step]
+                    if t <= y:
+                        i += step
+                        y -= t
+                i += 1
+                j = int(u() * better[i]) + 1
+                if j >= i:
+                    j += 1
         else:
+            i = active[int(u() * len(active))]
+        mine = followees[i]
+        if not j:
             while True:
                 j = pool[int(u() * len(pool))]
                 if j != i and j not in mine:
                     break
         src.append(i)
         mine.add(j)
-        if merit:
-            c = j - 2 if j > i else j - 1   # other nodes that beat j
-            if c < better[i]:
-                better[i] = c
         pool.append(j)
-        if len(mine) == m or (pure_merit and better[i] == 0):
-            active[k] = active[-1]
-            active.pop()
+        if merit:
+            # a full node's weight drops to 0; otherwise c counts the nodes that beat j
+            c = 0 if len(mine) == m else (j - 2 if j > i else j - 1)
+            d = better[i] - c
+            if d > 0:
+                better[i] = c
+                total -= d
+                t = i
+                while t < size:             # the root, tree[size], is never read
+                    tree[t] -= d
+                    t += t & -t
+        if len(mine) == m:
+            k = where[i]
+            last = active.pop()
+            if last != i:
+                active[k] = last
+                where[last] = k
     return DirectedGraph._from_out_adj(n, src, pool[n:])
 
 
@@ -196,9 +238,11 @@ def generate_matthew(config: FormationConfig) -> DirectedGraph:
 
 def generate_hybrid(config: FormationConfig) -> DirectedGraph:
     """Per-event probabilistic mixture: meritocracy step with probability p,
-    Matthew step with 1-p. p = 0 is the Matthew model exactly (same graph as
-    `generate_matthew` for the same seed); p = 1 is the meritocracy event
-    process, distributed as `generate_meritocracy`."""
+    Matthew step with 1-p, sampled as its jump chain (every drawn event adds
+    an edge, so a run draws at most n * m_cap events at any p).
+    p = 0 is the Matthew model exactly (same graph as `generate_matthew` for
+    the same seed); p = 1 is the meritocracy event process, distributed as
+    `generate_meritocracy`."""
     return _event_loop(config.n, config.m_cap, float(config.p), config.seed)
 
 

@@ -58,12 +58,15 @@ class TestGenerate:
         assert err.startswith("error:") and len(err.splitlines()) == 1
         assert "seed" in err and "-1" in err
 
-    def test_hybrid_p_just_below_1_exit_1(self, capsys, time_limit):
-        with time_limit(10):
+    def test_hybrid_p_just_below_1_finishes(self, capsys, time_limit):
+        # nodes at merit equilibrium still fire, with weight 1 - p, one draw each
+        with time_limit(1):
             code, out, err = run(capsys, "generate", "--model", "hybrid", "--n", "3",
                                  "--m", "2", "--seed", "0", "--p", "0.9999999999999999")
-        assert code == 1 and out == ""
-        assert err.startswith("error: hybrid p=") and len(err.splitlines()) == 1
+        assert code == 0 and err == ""
+        g = DirectedGraph.from_edge_list(out, n=3)
+        assert g.edge_count == 6
+        g.check_invariants()
 
     def test_usage_error_exit_1(self, capsys):
         for argv in (["generate", "--model", "merit"], ["nonsense"]):
@@ -216,6 +219,18 @@ class TestExperiment:
                              "--out", str(tmp_path / "o"))
         assert code == 1 and out == ""
         assert err == "error: sweep requires model 'hybrid', got 'matthew'\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_experiment_with_sweep_exit_1(self, tmp_path, capsys, monkeypatch):
+        # a sweep runs through `netforge sweep`; `experiment` runs one batch
+        monkeypatch.setattr(experiment, "generate", _no_batch)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"model": "hybrid", "n": 20, "m_cap": 2, "p": 0.5,
+                                    "sweep": [0.1, 0.9]}))
+        code, out, err = run(capsys, "experiment", "--spec", str(spec),
+                             "--out", str(tmp_path / "o"))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "sweep" in err and len(err.splitlines()) == 1
         assert not (tmp_path / "o").exists()
 
     def test_unknown_key_exit_1(self, tmp_path, capsys):
@@ -401,6 +416,8 @@ def _exit_code(argv, time_limit):
 @given(argv=_generate_argv())
 @example(argv=["generate", "--model", "er", "--n", "50", "--m", "1", "--seed", "0",
                "--p", "0.0", "--density", "5e-324"])
+@example(argv=["generate", "--model", "hybrid", "--n", "3", "--m", "2", "--seed", "0",
+               "--p", "0.9999999999999999", "--density", "0.0"])
 def test_fuzz_generate_exit_codes(argv, time_limit):
     assert _exit_code(argv, time_limit) in (0, 1, 2, 3)
 

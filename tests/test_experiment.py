@@ -221,6 +221,11 @@ class TestSweep:
         with pytest.raises(SpecError):
             hybrid_sweep(spec(model="hybrid", p=0.5))
 
+    @pytest.mark.parametrize("p", [None, 0.5])
+    def test_run_batch_rejects_sweep_spec(self, p):
+        with pytest.raises(SpecError, match="hybrid_sweep"):
+            run_batch(spec(model="hybrid", p=p, sweep=[0.1, 0.9]))
+
     @pytest.mark.parametrize("sweep", [[0.1234561, 0.1234564], [0.5, 0.5],
                                        [0.25, 0.2500001, 1.0]])
     def test_colliding_labels_rejected(self, monkeypatch, sweep):

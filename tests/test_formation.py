@@ -1,5 +1,8 @@
+from collections import Counter, defaultdict
+
 import numpy as np
 import pytest
+from scipy.stats import chisquare
 
 from netforge import (ConfigError, FormationConfig, brute_force_oracle,
                       generate, generate_er_directed, generate_hybrid,
@@ -47,15 +50,16 @@ class TestConfig:
         with pytest.raises(ConfigError, match=key):
             cfg(**{**base, key: value})
 
-    def test_hybrid_work_bound(self):
-        # below p = 1 a run expects up to n * m_cap / (1 - p) events
-        with pytest.raises(ConfigError, match="too close to 1"):
-            cfg(model="hybrid", n=3, m_cap=2, p=1 - 2.0 ** -53)
-        with pytest.raises(ConfigError, match="too close to 1"):
-            cfg(model="hybrid", n=10_000, m_cap=5, p=0.99999)
-        cfg(model="hybrid", n=10_000, m_cap=5, p=0.9999)   # 5e8 events
-        cfg(model="hybrid", n=10 ** 9, m_cap=5, p=1.0)      # p = 1 retires nodes instead
-        assert generate(cfg(model="hybrid", n=3, m_cap=2, p=0.999)).edge_count == 6
+    def test_hybrid_near_p1_finishes(self, time_limit):
+        # a node at merit equilibrium fires with weight 1 - p and costs one draw,
+        # so p just below 1 finishes with every node full
+        with time_limit(30):
+            for n, m, p in [(3, 2, 1 - 2.0 ** -53), (10_000, 5, 0.99999),
+                            (10_000, 5, 0.9999), (3, 2, 0.999)]:
+                g = generate(cfg(model="hybrid", n=n, m_cap=m, p=p))
+                assert g.edge_count == n * m
+                assert np.all(np.diff(g.indptr) == m)
+        cfg(model="hybrid", n=10 ** 9, m_cap=5, p=1.0)
 
     def test_numpy_scalars_accepted(self):
         c = cfg(model="hybrid", n=np.int64(10), m_cap=np.int32(2), p=np.float64(0.5))
@@ -176,6 +180,81 @@ class TestHybrid:
         g.check_invariants()
         assert all(len(t) <= 4 for t in followees(g))
         assert g.edge_count == 400   # p < 1 terminates at full out-degree
+
+
+def jump_chain_oracle(n, m, p):
+    """Exact distribution of the hybrid process's final graph: {state: probability}.
+
+    A state is the tuple of the nodes' followee sets. Per event the process picks
+    an active node (fewer than m followees) uniformly; with probability p it
+    tries a uniform candidate among the other n - 1 nodes, accepted if it beats
+    (has a lower id than) every followee, and otherwise draws a target with
+    weight in-degree + 1 among the nodes it may still follow. Events that add
+    no edge leave the state unchanged, so the jump chain moves i -> j with
+    probability proportional to (1 - p) (indeg[j] + 1) / mass_i + p [j beats
+    i's followees] / (n - 1), and a state where that total is 0 is final. Every
+    move adds one edge, so a DP over states in order of edge count is exact.
+    """
+    level = {tuple(frozenset() for _ in range(n)): 1.0}
+    final = defaultdict(float)
+    while level:
+        nxt = defaultdict(float)
+        for state, prob in level.items():
+            indeg = Counter(j for f in state for j in f)
+            moves = []
+            for i, f in enumerate(state, start=1):
+                if len(f) == m:
+                    continue
+                legal = [j for j in range(1, n + 1) if j != i and j not in f]
+                mass = sum(indeg[j] + 1 for j in legal)
+                best = min(f, default=n + 1)
+                moves += [(i, j, (1 - p) * (indeg[j] + 1) / mass + p * (j < best) / (n - 1))
+                          for j in legal]
+            total = sum(rate for _, _, rate in moves)
+            if not total:
+                final[state] += prob
+                continue
+            for i, j, rate in moves:
+                if rate:
+                    after = list(state)
+                    after[i - 1] = state[i - 1] | {j}
+                    nxt[tuple(after)] += prob * rate / total
+        level = nxt
+    return dict(final)
+
+
+class TestJumpChainOracle:
+    @pytest.mark.parametrize("n,m", [(3, 1), (3, 2), (4, 1), (4, 2)])
+    @pytest.mark.parametrize("p", [0.0, 0.25, 0.5, 0.9, 1.0])
+    def test_final_graph_distribution(self, n, m, p):
+        # chi-square of 2000 seeded runs against the exact final-graph law;
+        # cells expected below 5 are pooled into one
+        exact = jump_chain_oracle(n, m, p)
+        assert sum(exact.values()) == pytest.approx(1.0, abs=1e-12)
+        runs = 2000
+        seen = Counter(tuple(frozenset(t) for t in followees(
+            generate_hybrid(cfg(model="hybrid", n=n, m_cap=m, p=p, seed=r))))
+            for r in range(runs))
+        assert set(seen) <= set(exact)
+        big = [s for s, q in exact.items() if q * runs >= 5]
+        observed = [seen[s] for s in big]
+        expected = [exact[s] * runs for s in big]
+        if len(big) < len(exact):
+            observed.append(runs - sum(observed))
+            expected.append(runs - sum(expected))
+        if len(observed) > 1:
+            assert chisquare(observed, expected).pvalue > 1e-3
+
+    @pytest.mark.parametrize("n,m", [(2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (4, 3)])
+    def test_p1_matches_brute_force_oracle(self, n, m):
+        # at p = 1 the chain is the meritocracy process: its exact mean in-degree
+        # per quality rank is the record-enumeration oracle's
+        mean = np.zeros(n)
+        for state, prob in jump_chain_oracle(n, m, 1.0).items():
+            for f in state:
+                for j in f:
+                    mean[j - 1] += prob
+        assert np.allclose(mean, brute_force_oracle(n, m).values, rtol=1e-12, atol=1e-12)
 
 
 class TestErDirected:
