@@ -17,7 +17,7 @@ from .experiment import (ExperimentSpec, _atomic_write, _write_csv, _write_json,
                          hybrid_sweep, run_batch)
 from .formation import FormationConfig, generate
 from .graph import DirectedGraph
-from .metrics import compute_report
+from .metrics import DEFAULT_XMIN, compute_report
 from .theory import (CURVE_FUNCS, matthew_approx_curve, merit_approx_curve,
                      single_crossing_index)
 
@@ -64,7 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     m = sub.add_parser("metrics", help="compute metrics for an edge-list file")
     m.add_argument("--in", dest="infile", required=True)
-    m.add_argument("--xmin", type=int, default=10)
+    m.add_argument("--xmin", type=int, default=DEFAULT_XMIN)
     m.add_argument("--n", type=int, default=None, help="node count (default: max id)")
     m.add_argument("--full", action="store_true",
                    help="include all-source BFS path statistics")
@@ -114,7 +114,7 @@ def _cmd_theory(args) -> int:
     if args.check_crossing:
         report = single_crossing_index(merit_approx_curve(args.n, args.m).values,
                                        matthew_approx_curve(args.n, args.m).values)
-        if not report.is_single:
+        if report.sign_changes != 1:
             raise PropertyViolation(
                 f"expected one crossing, found {report.sign_changes} sign changes")
         print(f"single crossing at rank {report.crossing_rank}", file=sys.stderr)

@@ -11,7 +11,7 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -27,7 +27,7 @@ class SpecError(ValueError):
     """Invalid ExperimentSpec (bad value or unknown key)."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentSpec:
     model: str
     n: int
@@ -69,6 +69,11 @@ class ExperimentSpec:
         # FormationConfig checks the model parameters; a sweep spec may leave p unset
         if self.p is not None or not self.sweep:
             self.config_for_run(0)
+        # numpy scalars pass the checks but not json.dumps: store their Python values
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, np.generic):
+                object.__setattr__(self, f.name, value.item())
 
     def config_for_run(self, run: int) -> FormationConfig:
         try:
@@ -92,7 +97,7 @@ class ExperimentSpec:
         return cls(**d)
 
     def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return asdict(self)
 
 
 @dataclass
@@ -183,13 +188,13 @@ def hybrid_sweep(spec: ExperimentSpec) -> list[SweepRow]:
     rows = []
     for p in spec.sweep:
         rs = run_batch(replace(spec, p=float(p), sweep=None))
-        run_ginis = np.array([r.gini for r in rs.reports])
+        run_gini = rs.scalar_stats["gini"]
         rows.append(SweepRow(
             p=float(p),
             gini_expected_curve=gini(rs.per_node_mean_indegree),
             gini_rank_curve=gini(rs.mean_rank_curve),
-            gini_run_mean=float(run_ginis.mean()),
-            gini_run_sd=float(run_ginis.std(ddof=1)) if len(run_ginis) > 1 else 0.0,
+            gini_run_mean=run_gini["mean"],
+            gini_run_sd=math.sqrt(run_gini["var"]),
             result=rs,
         ))
     return rows
@@ -206,7 +211,9 @@ class ScalingRow:
 def small_world_scaling(model: str, n_list: list[int], m_cap: int, runs: int,
                         seed_base: int = 0, density: float | None = None) -> list[ScalingRow]:
     """Mean diameter and APL per network size, with the log2(n) benchmark.
-    Runs with no reachable pair are left out of the means."""
+    Each size runs the batch spec of (model, n, m_cap, density, runs, seed_base);
+    ER without a density gets the matched density. Runs with no reachable pair
+    are left out of the means."""
     if sorted(n_list) != list(n_list):
         raise SpecError("n_list must be ascending")
     rows = []
@@ -214,12 +221,11 @@ def small_world_scaling(model: str, n_list: list[int], m_cap: int, runs: int,
         dens = density
         if model == "er_directed" and dens is None:
             dens = matched_er_density(n, m_cap)
+        spec = ExperimentSpec(model=model, n=n, m_cap=m_cap, density=dens, runs=runs,
+                              seed_base=seed_base)
         diams, apls = [], []
-        for r in range(runs):
-            cfg = FormationConfig(model=model, n=n, m_cap=m_cap,
-                                  p=0.5 if model == "hybrid" else None,
-                                  density=dens, seed=seed_base + r)
-            diam, apl = path_stats(generate(cfg))
+        for r in range(spec.runs):
+            diam, apl = path_stats(generate(spec.config_for_run(r)))
             if diam is not None:
                 diams.append(diam)
                 apls.append(apl)

@@ -61,9 +61,13 @@ class FormationConfig:
 
 def _uniforms(rng: np.random.Generator):
     """Endless uniform(0,1) floats, drawn in blocks to avoid per-call Generator
-    overhead in hot loops; a memoryview yields each block's values lazily."""
+    overhead in hot loops; a memoryview yields each block's values lazily.
+    Blocks double from 64 up to 2^15 draws, so a small graph draws little;
+    the values do not depend on the block sizes."""
+    size = 64
     while True:
-        yield from memoryview(rng.random(1 << 15))
+        yield from memoryview(rng.random(size))
+        size = min(2 * size, 1 << 15)
 
 
 # -- meritocracy -------------------------------------------------------------

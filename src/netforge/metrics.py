@@ -6,7 +6,7 @@ All operations are read-only; graphs are treated as immutable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -153,15 +153,9 @@ class MetricsReport:
     avg_clustering: float | None
 
     def to_dict(self) -> dict:
-        return {
-            "degree_histogram": {str(k): v for k, v in self.degree_histogram.items()},
-            "alpha_hat": self.alpha_hat,
-            "xmin_used": self.xmin_used,
-            "gini": self.gini,
-            "diameter": self.diameter,
-            "avg_path_length": self.avg_path_length,
-            "avg_clustering": self.avg_clustering,
-        }
+        """The fields as a JSON-ready dict; JSON object keys are strings."""
+        return {**asdict(self),
+                "degree_histogram": {str(k): v for k, v in self.degree_histogram.items()}}
 
 
 

@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+MAX_TABLE_ENTRIES = 1 << 27     # m_cap * n floats recursion_table may allocate: 1 GiB
+
 
 def _validate(n: int, m_cap: int) -> None:
     if n < 2:
@@ -57,8 +59,12 @@ class CurveSpec:
 def recursion_table(n: int, m_cap: int) -> TheoryTable:
     """Fill the table by downward recursion over ranks:
     row(m) at rank i-1 = row(m) at i + row(m-1) at i / (i-1), with row 1 and
-    the last rank pinned to 1."""
+    the last rank pinned to 1. Tables over MAX_TABLE_ENTRIES entries are refused."""
     _validate(n, m_cap)
+    if m_cap * n > MAX_TABLE_ENTRIES:
+        raise ValueError(f"recursion table of m_cap*n = {m_cap * n} entries exceeds the"
+                         f" limit of {MAX_TABLE_ENTRIES}; use --formula exact"
+                         " (exact_expected_indegree)")
     table = np.empty((m_cap, n))
     table[0] = 1.0
     for m in range(1, m_cap):
@@ -145,10 +151,6 @@ class CrossingReport:
     crossing_rank: int | None
     sign_changes: int
 
-    @property
-    def is_single(self) -> bool:
-        return self.sign_changes == 1
-
 
 def single_crossing_index(curve_a, curve_b) -> CrossingReport:
     """Count sign changes of A - B over ranks, ignoring exact ties. The
@@ -159,20 +161,10 @@ def single_crossing_index(curve_a, curve_b) -> CrossingReport:
     if a.shape != b.shape or a.ndim != 1:
         raise ValueError("curves must be equal-length 1-d arrays")
     diff = a - b
-    changes = 0
-    crossing = None
-    last_sign = 0
-    last_rank = 0
-    for rank, s in enumerate(np.sign(diff).astype(int), start=1):
-        if s == 0:
-            continue
-        if last_sign != 0 and s != last_sign:
-            changes += 1
-            if crossing is None:
-                crossing = last_rank + 1
-        last_sign = s
-        last_rank = rank
-    return CrossingReport(crossing_rank=crossing, sign_changes=changes)
+    signed = np.flatnonzero(diff)           # 0-based positions of the non-ties
+    flips = np.flatnonzero(np.diff(np.sign(diff[signed])))
+    crossing = int(signed[flips[0]]) + 2 if len(flips) else None
+    return CrossingReport(crossing_rank=crossing, sign_changes=len(flips))
 
 
 def brute_force_oracle(n: int, m_cap: int) -> CurveSpec:

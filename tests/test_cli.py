@@ -3,12 +3,13 @@ import io
 import json
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from netforge import DirectedGraph, exact_expected_indegree, experiment
-from netforge.theory import CURVE_FUNCS
+from netforge.theory import CURVE_FUNCS, MAX_TABLE_ENTRIES
 from netforge.cli import main
 
 
@@ -102,6 +103,15 @@ class TestTheory:
                              "--n", "1000000000000", "--m", "5")
         assert code == 1 and out == ""
         assert err.startswith("error: Unable to allocate") and len(err.splitlines()) == 1
+
+    def test_recursion_size_limit_exit_1(self, capsys, monkeypatch):
+        def no_alloc(*args, **kwargs):
+            raise AssertionError("the table was allocated")
+        monkeypatch.setattr(np, "empty", no_alloc)
+        code, out, err = run(capsys, "theory", "--formula", "recursion",
+                             "--n", str(MAX_TABLE_ENTRIES // 5 + 1), "--m", "5")
+        assert code == 1 and out == ""
+        assert "--formula exact" in err and len(err.splitlines()) == 1
 
 
 class TestMetrics:

@@ -82,6 +82,26 @@ class TestSpec:
         s = spec()
         assert [s.config_for_run(r).seed for r in range(3)] == [5, 6, 7]
 
+    def test_frozen_after_run(self):
+        s = spec(runs=2, seed_base=3)
+        rs = run_batch(s)
+        for key, value in [("seed_base", 40), ("runs", 7), ("n", "x")]:
+            with pytest.raises(AttributeError):
+                setattr(s, key, value)
+        assert rs.provenance["seeds"] == [3, 4]
+        assert rs.provenance["spec"]["n"] == 60
+
+    def test_numpy_values_export_like_python(self, tmp_path):
+        plain = dict(model="hybrid", n=60, m_cap=3, runs=2, seed_base=1, xmin=4,
+                     p=0.5, density=0.25)
+        numpy = dict(plain, n=np.int64(60), m_cap=np.int32(3), runs=np.int64(2),
+                     seed_base=np.int64(1), xmin=np.int16(4), p=np.float32(0.5),
+                     density=np.float64(0.25))
+        for name, kw in [("plain", plain), ("numpy", numpy)]:
+            export_results(run_batch(ExperimentSpec(**kw)), str(tmp_path / name))
+        assert ((tmp_path / "numpy" / "metrics.json").read_bytes()
+                == (tmp_path / "plain" / "metrics.json").read_bytes())
+
 
 class TestRunBatch:
     def test_shapes_and_aggregation(self):
@@ -221,6 +241,14 @@ class TestSweep:
         with pytest.raises(SpecError):
             hybrid_sweep(spec(model="hybrid", p=0.5))
 
+    @pytest.mark.parametrize("runs", [1, 3])
+    def test_run_gini_mean_and_sd(self, runs):
+        rows = hybrid_sweep(spec(model="hybrid", n=40, m_cap=2, runs=runs, sweep=[0.3, 1.0]))
+        for row in rows:
+            ginis = [r.gini for r in row.result.reports]
+            assert row.gini_run_mean == np.mean(ginis)
+            assert row.gini_run_sd == (np.std(ginis, ddof=1) if runs > 1 else 0.0)
+
     @pytest.mark.parametrize("p", [None, 0.5])
     def test_run_batch_rejects_sweep_spec(self, p):
         with pytest.raises(SpecError, match="hybrid_sweep"):
@@ -254,6 +282,12 @@ class TestSmallWorldScaling:
     def test_requires_ascending(self):
         with pytest.raises(SpecError):
             small_world_scaling("matthew", [100, 50], m_cap=3, runs=1)
+
+    @pytest.mark.parametrize("model,runs", [("hybrid", 1), ("matthew", 0)])
+    def test_spec_errors(self, model, runs):
+        # each size is an ExperimentSpec: hybrid needs a p, and runs must be >= 1
+        with pytest.raises(SpecError):
+            small_world_scaling(model, [20], m_cap=2, runs=runs)
 
 
 class TestEmpiricalIngest:

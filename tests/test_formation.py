@@ -298,11 +298,17 @@ def test_determinism_same_seed():
 def test_uniforms_stream_and_state():
     rng, ref = np.random.default_rng(3), np.random.default_rng(3)
     u = _uniforms(rng).__next__
-    draws = [u() for _ in range(2**15 + 5)]
+    draws = [u()]
+    first = np.random.default_rng(3)
+    first.random(64)
+    assert rng.bit_generator.state == first.bit_generator.state    # one draw, one 64-block
+    sizes = [64 << k for k in range(10)] + [1 << 15] * 2    # doubling to 2**15, then 2**15
+    count = sum(sizes[:-1]) + 5                             # five draws into the last block
+    draws += [u() for _ in range(count - 1)]
     assert all(type(x) is float for x in draws)
-    assert draws == ref.random(2 << 15)[:2**15 + 5].tolist()
-    # blocks are whole: the rng has advanced by exactly two 2**15 draws
-    two_blocks = np.random.default_rng(3)
-    two_blocks.random(1 << 15)
-    two_blocks.random(1 << 15)
-    assert rng.bit_generator.state == two_blocks.bit_generator.state
+    assert draws == ref.random(sum(sizes))[:count].tolist()
+    # blocks are whole: the rng has advanced by exactly the block sizes
+    blocks = np.random.default_rng(3)
+    for size in sizes:
+        blocks.random(size)
+    assert rng.bit_generator.state == blocks.bit_generator.state

@@ -2,14 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from netforge import (brute_force_oracle, convergence_lower_bound,
+from netforge import (CrossingReport, brute_force_oracle, convergence_lower_bound,
                       exact_expected_indegree, matthew_approx_curve,
                       matthew_initial, matthew_pdf_prediction,
                       merit_approx_curve, recursion_table,
                       single_crossing_index)
+from netforge.theory import MAX_TABLE_ENTRIES
 
 
 class TestRecursionTable:
@@ -37,6 +38,16 @@ class TestRecursionTable:
             recursion_table(1, 1)
         with pytest.raises(ValueError):
             recursion_table(5, 5)
+
+    def test_size_limit(self, monkeypatch):
+        def no_alloc(*args, **kwargs):
+            raise AssertionError("the table was allocated")
+        monkeypatch.setattr(np, "empty", no_alloc)
+        n = MAX_TABLE_ENTRIES // 4              # m_cap * n at the limit is allowed
+        with pytest.raises(AssertionError, match="allocated"):
+            recursion_table(n, 4)
+        with pytest.raises(ValueError, match="--formula exact"):
+            recursion_table(n + 1, 4)
 
 
 class TestExactCurve:
@@ -178,6 +189,31 @@ class TestSingleCrossing:
     def test_multiple_crossings_reported(self):
         report = single_crossing_index([1, -1, 1], [0, 0, 0])
         assert report.sign_changes == 2
+
+    @settings(max_examples=300, deadline=None)
+    @example(pairs=[])
+    @example(pairs=[(1, 0)])
+    @given(st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)), max_size=30))
+    def test_matches_rank_loop(self, pairs):
+        a = [float(x) for x, _ in pairs]        # small integers: many ties
+        b = [float(y) for _, y in pairs]
+        for curve_b in (b, a):                  # (a, a) is all ties
+            assert single_crossing_index(a, curve_b) == _crossing_loop(a, curve_b)
+
+
+def _crossing_loop(curve_a, curve_b):
+    """The per-rank sign scan: the reference for the vectorized crossing count."""
+    changes, crossing, last_sign, last_rank = 0, None, 0, 0
+    for rank, s in enumerate(np.sign(np.subtract(curve_a, curve_b)).astype(int), start=1):
+        if s == 0:
+            continue
+        if last_sign != 0 and s != last_sign:
+            changes += 1
+            if crossing is None:
+                crossing = last_rank + 1
+        last_sign = s
+        last_rank = rank
+    return CrossingReport(crossing_rank=crossing, sign_changes=changes)
 
 
 def test_curve_csv_format():
