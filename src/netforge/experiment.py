@@ -50,6 +50,10 @@ class ExperimentSpec:
             value = getattr(self, name)
             if not isinstance(value, bool):
                 raise SpecError(f"{name} must be true or false, got {value!r}")
+        for name in ("p", "density"):       # for every model, not only the one using it
+            value = getattr(self, name)
+            if value is not None and not is_real(value):
+                raise SpecError(f"{name} must be null or a finite number, got {value!r}")
         if self.runs < 1:
             raise SpecError(f"runs must be >= 1, got {self.runs}")
         if self.seed_base < 0:

@@ -279,6 +279,22 @@ class TestExperiment:
         assert err.startswith("error:") and len(err.splitlines()) == 1
         assert "Traceback" not in err and key in err
 
+    @pytest.mark.parametrize("fields", [
+        {"model": "matthew", "p": "x", "density": [1]},
+        {"model": "meritocracy", "p": float("nan")},
+        {"model": "hybrid", "p": 0.5, "density": "y"}])
+    def test_unused_p_or_density_checked_exit_1(self, tmp_path, capsys, monkeypatch,
+                                                fields):
+        monkeypatch.setattr(experiment, "generate", _no_batch)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"n": 20, "m_cap": 2, **fields}))
+        code, out, err = run(capsys, "experiment", "--spec", str(spec),
+                             "--out", str(tmp_path / "o"))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "must be null or a finite number" in err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("command", ["experiment", "sweep"])
     @pytest.mark.parametrize("text,message", [
         ("[1]", "spec must be a JSON object"), ("3", "spec must be a JSON object"),

@@ -54,6 +54,15 @@ class TestSpec:
         with pytest.raises(SpecError):
             spec(model="nope")
 
+    @pytest.mark.parametrize("kw", [dict(model="matthew", p="x", density=[1]),
+                                    dict(model="meritocracy", p=float("nan")),
+                                    dict(model="hybrid", p=0.5, density="y"),
+                                    dict(model="er_directed", density=0.1, p=float("inf")),
+                                    dict(model="hybrid", sweep=[0.5], density=True)])
+    def test_p_and_density_checked_for_every_model(self, kw):
+        with pytest.raises(SpecError, match="must be null or a finite number"):
+            spec(**kw)
+
     def test_hybrid_sweep_spec_without_p(self):
         s = spec(model="hybrid", sweep=[0.0, 0.5, 1.0])
         assert s.p is None

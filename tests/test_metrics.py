@@ -190,6 +190,25 @@ class TestPathStats:
         assert stats.diameter == nx.diameter(G)
         assert stats.avg_path_length == nx.average_shortest_path_length(G)
 
+    @pytest.mark.parametrize("words", [None, 1, 3])
+    def test_matches_networkx_mixed_depths(self, monkeypatch, words):
+        # a 120-node chain runs its first sources for over 100 levels while
+        # the clique's die out after 2; sinks and isolated nodes never expand.
+        # Ids are shuffled, so every 64-source word mixes sources of all kinds
+        n = 200
+        edges = {(i, i + 1) for i in range(1, 120)}
+        edges |= {(i, j) for i in range(120, 150) for j in range(120, 150) if i != j}
+        edges |= {(i, 150 + i % 30) for i in range(100, 150)}     # 150..179 are sinks
+        edges |= {(140, 1), (60, 125)}                             # 180..200 isolated
+        label = np.random.default_rng(0).permutation(n) + 1
+        g = graph(n, sorted((int(label[i - 1]), int(label[j - 1])) for i, j in edges))
+        if words is not None:
+            monkeypatch.setattr(metrics, "_GATHER_BYTES", words * 8 * g.edge_count)
+        lengths = [d for s, dist in nx.all_pairs_shortest_path_length(nx.DiGraph(g.edges()))
+                   for t, d in dist.items() if t != s]
+        assert max(lengths) > 100
+        assert tuple(path_stats(g)) == (max(lengths), sum(lengths) / len(lengths))
+
 
 def dijkstra_path_stats(g, chunk=1024):
     """The all-source Dijkstra loop path_stats used before multi-source BFS."""
@@ -209,6 +228,18 @@ def dijkstra_path_stats(g, chunk=1024):
             total += vals.sum()
             count += len(vals)
     return (diameter, total / count) if count else (None, None)
+
+
+def spgemm_clustering(g):
+    """The sparse-product form clustering used before triangle enumeration:
+    closed_i = 1/2 · row sum of b * (b @ b)."""
+    a = metrics.adjacency_csr(g)
+    b = (a + a.T).tocsr()
+    s = np.asarray(b.sum(axis=1)).ravel()
+    closed = 0.5 * np.asarray(b.multiply(b @ b).sum(axis=1)).ravel()
+    denom = s * (s - 1.0)
+    c = np.divide(closed, denom, out=np.zeros(g.n), where=denom > 0)
+    return c, float(c.mean())
 
 
 class TestClustering:
@@ -248,6 +279,54 @@ class TestClustering:
         per_node, mean = clustering(graph(n, sorted(edges)))
         assert np.array_equal(per_node, expected)
         assert mean == expected.mean()
+
+    def test_mixed_reciprocity_by_hand(self):
+        # b12 = b13 = 2 (mutual), b23 = 1, b14 = 1: the triangle weighs 2·2·1 = 4
+        g = graph(4, [(1, 2), (2, 1), (2, 3), (3, 1), (1, 3), (4, 1)])
+        per_node, mean = clustering(g)
+        assert per_node.tolist() == [4 / (5 * 4), 4 / (3 * 2), 4 / (3 * 2), 0.0]
+        assert mean == per_node.mean()
+
+    def test_degree_ties(self):
+        # a star on 1 whose leaves 2 and 3 link both ways, and a directed
+        # triangle on 8, 9, 10: nodes 2, 3, 8, 9, 10 share undirected degree 2
+        # and leaves 4..7 degree 1
+        g = graph(10, [(1, k) for k in range(2, 8)]
+                  + [(2, 3), (3, 2), (8, 9), (9, 10), (10, 8)])
+        per_node, _ = clustering(g)
+        assert per_node.tolist() == [2 / 30, 2 / 6, 2 / 6, 0, 0, 0, 0, 1 / 2, 1 / 2, 1 / 2]
+        assert np.array_equal(per_node, spgemm_clustering(g)[0])
+
+    @pytest.mark.parametrize("model,extra", [
+        ("meritocracy", {}), ("matthew", {}), ("hybrid", {"p": 0.5}),
+        ("er_directed", {"density": matched_er_density(2000, 5)})])
+    def test_matches_spgemm_reference(self, model, extra):
+        g = generate(FormationConfig(model, n=2000, m_cap=5, seed=1, **extra))
+        per_node, mean = clustering(g)
+        expected, expected_mean = spgemm_clustering(g)
+        assert np.array_equal(per_node, expected) and mean == expected_mean
+        assert expected_mean > 0
+
+    def test_matches_spgemm_reference_reciprocal(self):
+        # 3000 random pairs, about half of them linked both ways
+        rng = np.random.default_rng(5)
+        i, j = rng.integers(1, 401, size=(2, 3000))
+        pairs = {(a, b) for a, b in zip(i.tolist(), j.tolist()) if a != b}
+        back = {(b, a) for a, b in pairs if rng.random() < 0.5}
+        g = graph(400, sorted(pairs | back))
+        per_node, mean = clustering(g)
+        expected, expected_mean = spgemm_clustering(g)
+        assert np.array_equal(per_node, expected) and mean == expected_mean
+
+    @pytest.mark.parametrize("wedges", [1, 40])
+    def test_wedge_slices(self, monkeypatch, wedges):
+        # budgets of 1 and 40 wedges: one slice per out-list position, and
+        # slices that end inside an out-list
+        monkeypatch.setattr(metrics, "_WEDGE_SLICE", wedges)
+        g = generate(FormationConfig("meritocracy", n=300, m_cap=5, seed=2))
+        assert np.array_equal(clustering(g)[0], spgemm_clustering(g)[0])
+        g = complete_digraph(12)
+        assert np.array_equal(clustering(g)[0], spgemm_clustering(g)[0])
 
     def test_er_close_to_density(self):
         n = 800
