@@ -9,10 +9,8 @@ from .formation import (FormationConfig, ConfigError, generate,
                         generate_matthew, generate_meritocracy,
                         matched_er_density, merit_followee_matrix)
 from .theory import (CrossingReport, CurveSpec, TheoryTable, brute_force_oracle,
-                     convergence_lower_bound, exact_expected_indegree,
-                     matthew_approx_curve, matthew_initial,
-                     matthew_pdf_prediction, merit_approx_curve,
-                     recursion_table, single_crossing_index)
+                     exact_expected_indegree, matthew_approx_curve,
+                     merit_approx_curve, recursion_table, single_crossing_index)
 from .metrics import (InsufficientDataError, MetricsReport, clustering,
                       compute_report, degree_distribution, fit_power_law, gini,
                       path_stats)
@@ -29,7 +27,6 @@ __all__ = [
     "matched_er_density", "merit_followee_matrix",
     "TheoryTable", "CurveSpec", "CrossingReport", "recursion_table",
     "exact_expected_indegree", "merit_approx_curve", "matthew_approx_curve",
-    "matthew_initial", "matthew_pdf_prediction", "convergence_lower_bound",
     "single_crossing_index", "brute_force_oracle",
     "MetricsReport", "InsufficientDataError", "degree_distribution",
     "fit_power_law", "gini", "path_stats", "clustering", "compute_report",

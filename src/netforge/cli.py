@@ -86,7 +86,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
+    """The file's text; a leading UTF-8 byte-order mark is dropped."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return fh.read()
 
 

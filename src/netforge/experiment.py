@@ -107,8 +107,15 @@ class ExperimentSpec:
 @dataclass
 class ResultSet:
     spec: ExperimentSpec
-    reports: list[MetricsReport]
-    indegrees: np.ndarray = field(repr=False)   # (runs, n) int64, row r: run r's in-degrees
+    reports: list[MetricsReport]     # report r: run r, with its in-degree vector
+
+    @property
+    def indegrees(self) -> np.ndarray:
+        """(runs, n) int64, row r: run r's in-degrees; a new read-only matrix
+        stacked from the reports on each call."""
+        matrix = np.stack([r.indegree for r in self.reports])
+        matrix.flags.writeable = False
+        return matrix
 
     @property
     def mean_rank_curve(self) -> np.ndarray:
@@ -146,7 +153,7 @@ class ResultSet:
                 "tool_version": __version__}
 
     def to_dict(self) -> dict:
-        # both curves follow from the runs' degree histograms; the CSVs carry them
+        # both curves follow from the runs' in-degree vectors; the CSVs carry them
         return {
             "provenance": self.provenance,
             "scalar_stats": self.scalar_stats,
@@ -157,20 +164,17 @@ class ResultSet:
 
 
 def run_batch(spec: ExperimentSpec) -> ResultSet:
-    """Execute spec.runs independent generations (seeds seed_base + r), compute
-    per-run metrics, and keep the runs' in-degree vectors, from which the
-    ResultSet derives its curves. A spec with a sweep is run by hybrid_sweep."""
+    """Execute spec.runs independent generations (seeds seed_base + r) and
+    compute each run's report, which keeps the run's in-degree vector; the
+    ResultSet derives its curves from those. A spec with a sweep is run by
+    hybrid_sweep."""
     if spec.sweep is not None:
         raise SpecError("run_batch runs one batch; a spec with a sweep needs hybrid_sweep"
                         " (netforge sweep)")
-    reports: list[MetricsReport] = []
-    indeg = np.empty((spec.runs, spec.n), dtype=np.int64)    # row r: run r's in-degrees
-    for r in range(spec.runs):
-        g = generate(spec.config_for_run(r))
-        indeg[r] = g.degrees_snapshot()[0]
-        reports.append(compute_report(g, xmin=spec.xmin, with_paths=spec.full_metrics))
-    indeg.flags.writeable = False
-    return ResultSet(spec=spec, reports=reports, indegrees=indeg)
+    return ResultSet(spec=spec, reports=[
+        compute_report(generate(spec.config_for_run(r)), xmin=spec.xmin,
+                       with_paths=spec.full_metrics)
+        for r in range(spec.runs)])
 
 
 @dataclass
@@ -258,7 +262,8 @@ def empirical_ingest(text: str, target_mean: float) -> EmpiricalResult:
     """Parse follower counts (one per line, or "user_id,followers" rows; a
     single non-numeric header line is tolerated) and rescale so the mean count
     equals target_mean, a positive finite number. Gini is computed before
-    scaling and is unchanged by it."""
+    scaling and is unchanged by it. Input whose total, Gini, scale or rescaled
+    counts would overflow float64 raises ValueError."""
     if not is_real(target_mean) or target_mean <= 0:
         raise ValueError(f"target_mean must be a positive finite number, got {target_mean!r}")
     counts: list[float] = []
@@ -281,12 +286,17 @@ def empirical_ingest(text: str, target_mean: float) -> EmpiricalResult:
     if not counts:
         raise EmpiricalParseError(1, "no follower counts found")
     arr = np.sort(np.asarray(counts))[::-1]
-    total = arr.sum()
-    if total == 0:
-        raise EmpiricalParseError(1, "all counts are zero")
-    scale = target_mean * len(arr) / total
-    return EmpiricalResult(normalized_counts=arr * scale, gini=gini(arr),
-                           n=len(arr), scale=float(scale))
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            total = arr.sum()
+            if total == 0:
+                raise EmpiricalParseError(1, "all counts are zero")
+            scale = np.float64(target_mean) * len(arr) / total
+            return EmpiricalResult(normalized_counts=arr * scale, gini=gini(arr),
+                                   n=len(arr), scale=float(scale))
+    except FloatingPointError:
+        raise ValueError("counts or target_mean out of float range: the total, Gini,"
+                         " scale or rescaled counts overflow") from None
 
 
 # -- exports -----------------------------------------------------------------

@@ -6,7 +6,8 @@ All operations are read-only; graphs are treated as immutable.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, field, fields
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -209,7 +210,7 @@ def clustering(g: DirectedGraph) -> tuple[np.ndarray, float]:
 
 @dataclass
 class MetricsReport:
-    degree_histogram: dict[int, int]    # in-degree -> node count
+    indegree: np.ndarray = field(repr=False)    # read-only; index k = node k+1
     alpha_hat: float | None
     xmin_used: int
     gini: float
@@ -217,11 +218,17 @@ class MetricsReport:
     avg_path_length: float | None
     avg_clustering: float | None
 
-    def to_dict(self) -> dict:
-        """The fields as a JSON-ready dict; JSON object keys are strings."""
-        return {**asdict(self),
-                "degree_histogram": {str(k): v for k, v in self.degree_histogram.items()}}
+    @cached_property
+    def degree_histogram(self) -> dict[int, int]:
+        """In-degree -> node count."""
+        return degree_distribution(self.indegree)[0]
 
+    def to_dict(self) -> dict:
+        """The scalar fields and the histogram as a JSON-ready dict; JSON object
+        keys are strings."""
+        d = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "indegree"}
+        d["degree_histogram"] = {str(k): v for k, v in self.degree_histogram.items()}
+        return d
 
 
 def compute_report(g: DirectedGraph, xmin: int = DEFAULT_XMIN,
@@ -229,7 +236,6 @@ def compute_report(g: DirectedGraph, xmin: int = DEFAULT_XMIN,
     """Assemble a MetricsReport. Path statistics are opt-in (all-source BFS is
     the expensive part); alpha_hat is None when the tail is too small."""
     indeg, _ = g.degrees_snapshot()
-    hist, _ = degree_distribution(indeg)
     try:
         alpha = fit_power_law(indeg, xmin=xmin)
     except InsufficientDataError:
@@ -237,7 +243,7 @@ def compute_report(g: DirectedGraph, xmin: int = DEFAULT_XMIN,
     g_coef = gini(indeg) if indeg.sum() > 0 else 0.0
     diam, apl = path_stats(g) if with_paths else (None, None)
     return MetricsReport(
-        degree_histogram=hist,
+        indegree=indeg,
         alpha_hat=alpha,
         xmin_used=xmin,
         gini=g_coef,

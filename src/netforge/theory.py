@@ -114,36 +114,6 @@ def matthew_approx_curve(n: int, m_cap: int) -> CurveSpec:
     return CurveSpec(n=n, m_cap=m_cap, values=values, name="matthew-approx")
 
 
-def matthew_initial(n: int, i) -> np.ndarray | float:
-    """Ranked expected in-degree after the first n Matthew steps:
-    4n^2 / ((n+i-1)(n+i)) - 1."""
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
-    i = np.asarray(i, dtype=float)
-    out = 4.0 * n * n / ((n + i - 1.0) * (n + i)) - 1.0
-    return float(out) if out.ndim == 0 else out
-
-
-def matthew_pdf_prediction(d, m_cap: int):
-    """Predicted Matthew in-degree density ((M+1)/2) * (d+1)^(-3/2)."""
-    d = np.asarray(d, dtype=float)
-    if np.any(d < 0):
-        raise ValueError("in-degree must be >= 0")
-    out = 0.5 * (m_cap + 1) * (d + 1.0) ** -1.5
-    return float(out) if out.ndim == 0 else out
-
-
-def convergence_lower_bound(n: int, t: int) -> float:
-    """Lower bound on the probability that the meritocracy process has reached
-    equilibrium within t uniform-pair events: (1 - ((n-2)/(n-1))^t)^n."""
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    ratio = (n - 2) / (n - 1)
-    return float((1.0 - ratio ** t) ** n)
-
-
 @dataclass
 class CrossingReport:
     """Sign-change summary of curve A - curve B, ties ignored."""

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import shutil
 import warnings
 
 import numpy as np
@@ -143,6 +144,13 @@ class TestMetrics:
         assert code == 0
         rep = json.loads(out)
         assert rep["degree_histogram"] == {"0": 5} and rep["diameter"] is None
+
+    def test_byte_order_mark_dropped(self, tmp_path, capsys):
+        edges = tmp_path / "g.csv"
+        edges.write_bytes(b"\xef\xbb\xbf2,1\n3,1\n")
+        code, out, _ = run(capsys, "metrics", "--in", str(edges))
+        assert code == 0
+        assert json.loads(out)["degree_histogram"] == {"0": 2, "2": 1}
 
     def test_missing_file_exit_2(self, capsys):
         code, _, err = run(capsys, "metrics", "--in", "/nonexistent/file.csv")
@@ -330,6 +338,26 @@ class TestEmpirical:
         assert curve[1] == "1,7.5"
         assert json.loads((out_dir / "summary.json").read_text()) == summary
 
+    def test_byte_order_mark_keeps_first_count(self, tmp_path, capsys):
+        data = tmp_path / "counts.csv"
+        data.write_bytes(b"\xef\xbb\xbf12\n5\n3\n")
+        code, out, _ = run(capsys, "empirical", "--in", str(data),
+                           "--target-mean", "5", "--out", str(tmp_path / "out"))
+        assert code == 0
+        assert json.loads(out)["n"] == 3 and json.loads(out)["scale"] == 0.75
+
+    @pytest.mark.parametrize("counts, target", [("1e308\n1e308\n", "5"),
+                                                ("12\n5\n3\n", "1e308")])
+    def test_overflow_exit_1_before_writing(self, tmp_path, capsys, counts, target):
+        data = tmp_path / "counts.csv"
+        data.write_text(counts)
+        out_dir = tmp_path / "out"
+        code, out, err = run(capsys, "empirical", "--in", str(data),
+                             "--target-mean", target, "--out", str(out_dir))
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert not out_dir.exists()
+
     def test_parse_error_exit_1(self, tmp_path, capsys):
         data = tmp_path / "counts.csv"
         data.write_text("1\nxyz\n")
@@ -391,6 +419,23 @@ def _metrics_argv(draw, edge_file):
     if draw(st.booleans()):
         argv += ["--n", draw(_SIZES)]
     return argv + draw(st.sampled_from([[], ["--full"]]))
+
+
+# counts and target means from small integers up to the largest finite float
+_COUNTS = st.one_of(st.integers(0, 10 ** 6).map(str),
+                    st.floats(0.0, allow_nan=False, allow_infinity=False).map(repr),
+                    st.sampled_from(["1e308", "1.7976931348623157e308", "5e-324"]))
+_TARGETS = st.one_of(st.floats(0.0, allow_nan=False, allow_infinity=False),
+                     st.sampled_from([1e308, 1.7976931348623157e308, 5e-324])).map(repr)
+
+
+@st.composite
+def _empirical_argv(draw, counts_file, out_dir):
+    head = draw(st.sampled_from(["", "\ufeff", "followers\n", "\ufeffuser_id,followers\n"]))
+    counts = draw(st.lists(_COUNTS, max_size=20))
+    counts_file.write_text(head + "".join(f"{c}\n" for c in counts), encoding="utf-8")
+    return ["empirical", "--in", str(counts_file), "--target-mean", draw(_TARGETS),
+            "--out", str(out_dir)]
 
 
 # a spec key maps to a well-typed small value or, as often, to junk
@@ -471,3 +516,21 @@ def test_fuzz_spec_exit_codes(data, fuzz_dir, time_limit):
     assert "Traceback" not in err.getvalue()
     if code == 1:
         assert err.getvalue().startswith("error:") and len(err.getvalue().splitlines()) == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_fuzz_empirical_exit_codes(data, fuzz_dir, time_limit):
+    out_dir = fuzz_dir / "empirical"
+    shutil.rmtree(out_dir, ignore_errors=True)
+    argv = data.draw(_empirical_argv(fuzz_dir / "counts.csv", out_dir))
+    out, err = io.StringIO(), io.StringIO()
+    with time_limit(10), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1)
+    if code == 0:
+        summary = json.loads(out.getvalue())
+        assert summary == json.loads((out_dir / "summary.json").read_text())
+    else:
+        assert err.getvalue().startswith("error:") and len(err.getvalue().splitlines()) == 1
+        assert not out_dir.exists()

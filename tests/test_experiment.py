@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import warnings
@@ -149,6 +150,13 @@ class TestRunBatch:
         assert not rs.indegrees.flags.writeable
         for row, report in zip(rs.indegrees, rs.reports):
             assert dict(zip(*np.unique(row, return_counts=True))) == report.degree_histogram
+
+    def test_indegrees_stacks_the_report_vectors(self):
+        rs = run_batch(spec())
+        assert [f.name for f in dataclasses.fields(rs)] == ["spec", "reports"]
+        first, second = rs.indegrees, rs.indegrees
+        assert first is not second and np.array_equal(first, second)
+        assert np.array_equal(first, np.stack([r.indegree for r in rs.reports]))
 
     def test_scalar_stats(self):
         rs = run_batch(spec())
@@ -335,6 +343,22 @@ class TestEmpiricalIngest:
     def test_bad_target_mean_rejected(self, target):
         with pytest.raises(ValueError, match="target_mean"):
             empirical_ingest("10\n5\n", target_mean=target)
+
+    @pytest.mark.parametrize("text, target", [
+        ("1e308\n1e308\n", 5.0),          # the total overflows
+        ("12\n5\n3\n", 1e308),            # the scale overflows
+        ("1e307\n" * 10, 5.0),            # the Gini's rank-weighted sum overflows
+        ("5e-324\n", 5.0),                # the scale of a subnormal total overflows
+    ])
+    def test_overflow_rejected(self, text, target):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="out of float range"):
+                empirical_ingest(text, target_mean=target)
+
+    def test_results_near_the_float_limit_pass(self):
+        res = empirical_ingest("1e300\n1e300\n", target_mean=1e300)
+        assert res.scale == 1.0 and res.gini == 0.0
 
     @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "NaN", "Infinity"])
     def test_non_finite_rejected(self, token):

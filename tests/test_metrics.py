@@ -1,3 +1,4 @@
+import dataclasses
 from collections import Counter, deque
 
 import networkx as nx
@@ -359,3 +360,12 @@ class TestReport:
         hist = rep.degree_histogram
         degrees = np.repeat(list(hist), list(hist.values()))
         assert sorted(degrees.tolist(), reverse=True) == [5, 0, 0, 0, 0, 0]
+
+    def test_keeps_the_graph_vector_and_derives_the_histogram(self):
+        g = star(6)
+        rep = compute_report(g)
+        assert rep.indegree is g.degrees_snapshot()[0]
+        assert not rep.indegree.flags.writeable
+        assert rep.degree_histogram == {0: 5, 5: 1} == degree_distribution(rep.indegree)[0]
+        assert rep.degree_histogram is rep.degree_histogram      # built once
+        assert "degree_histogram" not in {f.name for f in dataclasses.fields(rep)}

@@ -5,10 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from netforge import (CrossingReport, brute_force_oracle, convergence_lower_bound,
-                      exact_expected_indegree, matthew_approx_curve,
-                      matthew_initial, matthew_pdf_prediction,
-                      merit_approx_curve, recursion_table,
+from netforge import (CrossingReport, brute_force_oracle, exact_expected_indegree,
+                      matthew_approx_curve, merit_approx_curve, recursion_table,
                       single_crossing_index)
 from netforge.theory import MAX_TABLE_ENTRIES
 
@@ -137,36 +135,6 @@ class TestApproxCurves:
     def test_matthew_head_limit(self):
         c = matthew_approx_curve(10 ** 6, 5).values
         assert c[0] == pytest.approx(11.0, abs=0.01)
-
-    def test_matthew_initial(self):
-        assert matthew_initial(10 ** 6, 1) == pytest.approx(3.0, abs=0.01)
-        vals = matthew_initial(100, np.arange(1, 101))
-        assert vals.sum() == pytest.approx(100, rel=1e-9)   # n edges at t=n
-
-    def test_matthew_pdf(self):
-        assert matthew_pdf_prediction(0, 5) == pytest.approx(3.0)
-        assert matthew_pdf_prediction(3, 1) == pytest.approx(0.125)
-        # pure power-law scaling in (d+1)
-        big = 10 ** 7
-        ratio = matthew_pdf_prediction(2 * big + 1, 5) / matthew_pdf_prediction(big, 5)
-        assert ratio == pytest.approx(2 ** -1.5, rel=1e-5)
-
-
-class TestConvergenceBound:
-    def test_values(self):
-        assert convergence_lower_bound(100, 0) == 0.0
-        assert convergence_lower_bound(2, 1) == 1.0
-        assert convergence_lower_bound(2, 10 ** 6) == 1.0
-
-    @settings(max_examples=50, deadline=None)
-    @given(st.integers(2, 1000), st.integers(0, 2000))
-    def test_monotone_in_t_and_bounded(self, n, t):
-        a = convergence_lower_bound(n, t)
-        b = convergence_lower_bound(n, t + 1)
-        assert 0.0 <= a <= b <= 1.0
-
-    def test_limit_approaches_one(self):
-        assert convergence_lower_bound(100, 10 ** 5) > 0.999999
 
 
 class TestSingleCrossing:
