@@ -35,7 +35,24 @@ class PropertyViolation(Exception):
     pass
 
 
+class _NegativeNumber:
+    """Matches an argument that parses as a negative float ("-5", "-1e+308",
+    "-inf"); argparse reads such an argument as a value, not as an option."""
+
+    @staticmethod
+    def match(arg: str) -> bool:
+        try:
+            float(arg)
+        except ValueError:
+            return False
+        return arg.startswith("-")
+
+
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NegativeNumber   # no option looks like one
+
     def error(self, message):
         """Report a usage error as one stderr line, without the usage block."""
         self.exit(EXIT_VALIDATION, f"error: {self.prog}: {message}\n")

@@ -104,7 +104,7 @@ class ExperimentSpec:
         return asdict(self)
 
 
-@dataclass
+@dataclass(eq=False)    # holds arrays: == is identity
 class ResultSet:
     spec: ExperimentSpec
     reports: list[MetricsReport]     # report r: run r, with its in-degree vector
@@ -177,7 +177,7 @@ def run_batch(spec: ExperimentSpec) -> ResultSet:
         for r in range(spec.runs)])
 
 
-@dataclass
+@dataclass(eq=False)    # holds a ResultSet: == is identity
 class SweepRow:
     p: float
     gini_expected_curve: float      # Gini of the per-node mean in-degree curve
@@ -250,7 +250,7 @@ class EmpiricalParseError(ValueError):
         self.line_no = line_no
 
 
-@dataclass
+@dataclass(eq=False)    # holds arrays: == is identity
 class EmpiricalResult:
     normalized_counts: np.ndarray = field(repr=False)   # descending
     gini: float = 0.0

@@ -6,6 +6,7 @@ Quality is represented purely by node id order: id 1 is the highest-quality node
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 
@@ -127,11 +128,122 @@ def generate_meritocracy(config: FormationConfig) -> DirectedGraph:
     return DirectedGraph._from_out_adj(config.n, rows + 1, mat[rows, cols])
 
 
-# -- event-driven models: Matthew effect and hybrid --------------------------
+# -- Matthew effect: capped preferential attachment -------------------------
+
+
+def _firing_order(rng: np.random.Generator, n: int, m: int) -> np.ndarray:
+    """When n nodes fire m times each, every node with firings left firing next
+    with equal probability: entry (i, k) is the step, counted from 0, of node
+    i + 1's k-th firing. Rate-1 clocks are memoryless, so ranking each node's m
+    cumulative Exp(1) times samples it; sorting the rows keeps a node's firings
+    in order even where two of its times tie."""
+    step = np.empty(n * m, dtype=np.int64)
+    step[np.argsort(np.cumsum(rng.exponential(size=(n, m)), axis=1), axis=None)] = \
+        np.arange(n * m)
+    return np.sort(step.reshape(n, m), axis=1)
+
+
+def _capped_pa(n: int, m: int, seed: int) -> DirectedGraph:
+    """The Matthew model, sampled with arrays: each event picks a node with
+    out-degree < m uniformly and links it to a target drawn with weight
+    in-degree + 1 (the virtual self-link); a target that is the node itself or
+    one it already follows is rejected and redrawn. Ends with n * m edges.
+
+    Sources: every node fires m times, at the steps `_firing_order` gives;
+    slot (i - 1) * m + k of the (n, m) matrices below is node i's k-th firing.
+
+    Targets: the weights are a pool of one entry per node followed by the
+    target of every earlier step, so step t draws an index x uniform over
+    n + t entries: node x + 1 if x < n, otherwise a copy of step x - n's
+    target. All first draws resolve at once by pointer doubling over the copy
+    forest. A step is rejected when its target is its own source or repeats an
+    earlier target of the same source, found by one check over the (n, m)
+    matrix of targets by source and firing order.
+
+    Fix-ups run in step order, smallest rejected step first: its target is
+    redrawn against the now-final earlier steps, then handed to the steps that
+    copied it, found in a children CSR of the copy forest, and the rows of the
+    changed steps are checked again. A redrawn step no longer copies its first
+    draw, so its CSR entry goes stale; that is harmless, because steps before
+    the one being fixed are final and every later change reaches only steps
+    after it.
+    """
+    rng = np.random.default_rng(seed)
+    steps = n * m
+    step = _firing_order(rng, n, m).ravel()     # slot (source - 1) * m + k -> step
+    slot = np.empty(steps, dtype=np.int64)      # step t fills slot[t]
+    slot[step] = np.arange(steps)
+    parent = (rng.random(steps) * np.arange(n, n + steps)).astype(np.int64) - n
+    root = np.where(parent < 0, np.arange(steps), parent)
+    while True:                             # pointer doubling to each step's root
+        up = root[root]
+        if np.array_equal(up, root):
+            break
+        root = up
+    flat = np.empty(steps, dtype=np.int64)  # targets by slot: row = source, creation order
+    flat[slot] = parent[root] + n + 1
+    rows = flat.reshape(n, m)
+    by_value = np.argsort(rows, axis=1, kind="stable")
+    repeat = np.zeros((n, m), dtype=bool)   # all but the first of equal targets in a row
+    np.put_along_axis(repeat, by_value[:, 1:], np.diff(
+        np.take_along_axis(rows, by_value, axis=1), axis=1) == 0, axis=1)
+    bad = repeat | (rows == np.arange(1, n + 1)[:, None])
+
+    copies = np.flatnonzero(parent >= 0)
+    kids = copies[np.argsort(parent[copies])]      # grouped by the step they copy
+    first = np.zeros(steps + 1, dtype=np.int64)
+    np.cumsum(np.bincount(parent[copies], minlength=steps), out=first[1:])
+    u = _uniforms(rng).__next__
+    heap = np.sort(step[bad.ravel()]).tolist()     # a sorted list is a heap
+    queued = set(heap)
+    while heap:
+        t = heapq.heappop(heap)
+        queued.remove(t)
+        s = int(slot[t])
+        i, k = divmod(s, m)
+        mine = set(rows[i, :k].tolist())
+        mine.add(i + 1)
+        j = int(flat[s])
+        if j not in mine:                   # earlier fixes made it legal
+            continue
+        while j in mine:
+            x = int(u() * (n + t))
+            j = x + 1 if x < n else int(flat[slot[x - n]])
+        flat[s] = j
+        touched = {i}
+        todo = [t]
+        while todo:                         # hand j to every step that copied t
+            c = todo.pop()
+            for d in kids[first[c]:first[c + 1]].tolist():
+                sd = int(slot[d])
+                flat[sd] = j
+                touched.add(sd // m)
+                todo.append(d)
+        for r in touched:                   # queue the rows' new repeats of j
+            row = rows[r].tolist()
+            col = -1 if j == r + 1 else row.index(j)
+            for _ in range(row.count(j) - (col >= 0)):
+                col = row.index(j, col + 1)
+                d = int(step[r * m + col])
+                if d not in queued:
+                    queued.add(d)
+                    heapq.heappush(heap, d)
+    return DirectedGraph._from_out_adj(n, np.repeat(np.arange(1, n + 1), m), flat)
+
+
+def generate_matthew(config: FormationConfig) -> DirectedGraph:
+    """Capped preferential attachment (the Matthew model): source uniform among
+    nodes with out-degree < m_cap, target weight in-degree + 1, illegal targets
+    redrawn. Terminates with exactly m_cap * n edges. See `_capped_pa`."""
+    return _capped_pa(int(config.n), int(config.m_cap), config.seed)
+
+
+# -- hybrid: the event loop --------------------------------------------------
 
 
 def _event_loop(n: int, m: int, p: float, seed: int) -> DirectedGraph:
-    """Shared event loop, run as its jump chain: every drawn event adds an edge.
+    """The hybrid process at p > 0, run as its jump chain: every drawn event
+    adds an edge.
 
     The process it samples: each event picks an active node i (out-degree < m)
     uniformly, then with probability p attempts one meritocracy step (uniform
@@ -152,8 +264,6 @@ def _event_loop(n: int, m: int, p: float, seed: int) -> DirectedGraph:
     the step always succeeds. A node's tree entry changes only when its
     `better[i]` drops or it reaches m followees (weight 0). The loop ends when
     W is 0: every node is full or, at p = 1, at meritocracy equilibrium.
-    p = 0 is the Matthew model exactly: no merit state is kept and each event
-    is one uniform pick of an active node.
 
     Weighted target sampling uses a repeated-endpoint pool (one entry per unit
     of weight), giving O(1) draws with exact proportionality. A full node is
@@ -166,44 +276,39 @@ def _event_loop(n: int, m: int, p: float, seed: int) -> DirectedGraph:
     active = list(range(1, n + 1))
     where = list(range(-1, n))              # where[i]: index of node i in active
     u = _uniforms(np.random.default_rng(seed)).__next__
-    merit = p > 0.0                         # merit state is kept only when p > 0
-    if merit:
-        matthew_w = 1.0 - p                 # weight of an active node's Matthew step
-        merit_w = p / (n - 1)               # weight of each node that beats i's best
-        better = [n - 1] * (n + 1)          # no followee yet: every other node beats it
-        size = 1 << n.bit_length()          # Fenwick tree over ids 1..n, zero-padded
-        steps = [size >> b for b in range(1, n.bit_length() + 1)]    # descent strides
-        ids = np.arange(size + 1)           # tree[t] sums the ids in (t - lowbit(t), t]
-        tree = ((n - 1) * np.clip(np.minimum(ids, n) - (ids - (ids & -ids)), 0, None)).tolist()
-        total = (n - 1) * n                 # B: sum of better over active nodes
+    matthew_w = 1.0 - p                     # weight of an active node's Matthew step
+    merit_w = p / (n - 1)                   # weight of each node that beats i's best
+    better = [n - 1] * (n + 1)              # no followee yet: every other node beats it
+    size = 1 << n.bit_length()              # Fenwick tree over ids 1..n, zero-padded
+    steps = [size >> b for b in range(1, n.bit_length() + 1)]    # descent strides
+    ids = np.arange(size + 1)               # tree[t] sums the ids in (t - lowbit(t), t]
+    tree = ((n - 1) * np.clip(np.minimum(ids, n) - (ids - (ids & -ids)), 0, None)).tolist()
+    total = (n - 1) * n                     # B: sum of better over active nodes
     while active:
         j = 0                               # no merit candidate: a Matthew step draws j
-        if merit:
-            live = len(active)
-            a = matthew_w * live
-            w = a + merit_w * total
-            if not w:
-                break                       # p = 1, every active node at equilibrium
-            x = u() * w
-            if x < a:
-                k = int(x / matthew_w)
-                i = active[k if k < live else live - 1]     # float rounding
-            else:
-                y = int((x - a) / merit_w)
-                if y >= total:
-                    y = total - 1
-                i = 0                       # descend to the node holding rank y
-                for step in steps:
-                    t = tree[i + step]
-                    if t <= y:
-                        i += step
-                        y -= t
-                i += 1
-                j = int(u() * better[i]) + 1
-                if j >= i:
-                    j += 1
+        live = len(active)
+        a = matthew_w * live
+        w = a + merit_w * total
+        if not w:
+            break                           # p = 1, every active node at equilibrium
+        x = u() * w
+        if x < a:
+            k = int(x / matthew_w)
+            i = active[k if k < live else live - 1]     # float rounding
         else:
-            i = active[int(u() * len(active))]
+            y = int((x - a) / merit_w)
+            if y >= total:
+                y = total - 1
+            i = 0                           # descend to the node holding rank y
+            for step in steps:
+                t = tree[i + step]
+                if t <= y:
+                    i += step
+                    y -= t
+            i += 1
+            j = int(u() * better[i]) + 1
+            if j >= i:
+                j += 1
         mine = followees[i]
         if not j:
             while True:
@@ -213,17 +318,16 @@ def _event_loop(n: int, m: int, p: float, seed: int) -> DirectedGraph:
         src.append(i)
         mine.add(j)
         pool.append(j)
-        if merit:
-            # a full node's weight drops to 0; otherwise c counts the nodes that beat j
-            c = 0 if len(mine) == m else (j - 2 if j > i else j - 1)
-            d = better[i] - c
-            if d > 0:
-                better[i] = c
-                total -= d
-                t = i
-                while t < size:             # the root, tree[size], is never read
-                    tree[t] -= d
-                    t += t & -t
+        # a full node's weight drops to 0; otherwise c counts the nodes that beat j
+        c = 0 if len(mine) == m else (j - 2 if j > i else j - 1)
+        d = better[i] - c
+        if d > 0:
+            better[i] = c
+            total -= d
+            t = i
+            while t < size:                 # the root, tree[size], is never read
+                tree[t] -= d
+                t += t & -t
         if len(mine) == m:
             k = where[i]
             last = active.pop()
@@ -233,20 +337,15 @@ def _event_loop(n: int, m: int, p: float, seed: int) -> DirectedGraph:
     return DirectedGraph._from_out_adj(n, src, pool[n:])
 
 
-def generate_matthew(config: FormationConfig) -> DirectedGraph:
-    """Capped preferential attachment: the event loop at p = 0 (exactly the
-    Matthew model). Source uniform among nodes with out-degree < m_cap; target
-    weight in-degree + 1. Terminates with exactly m_cap * n edges."""
-    return _event_loop(config.n, config.m_cap, 0.0, config.seed)
-
-
 def generate_hybrid(config: FormationConfig) -> DirectedGraph:
     """Per-event probabilistic mixture: meritocracy step with probability p,
     Matthew step with 1-p, sampled as its jump chain (every drawn event adds
     an edge, so a run draws at most n * m_cap events at any p).
-    p = 0 is the Matthew model exactly (same graph as `generate_matthew` for
-    the same seed); p = 1 is the meritocracy event process, distributed as
-    `generate_meritocracy`."""
+    p = 0 is the Matthew model and runs its sampler (same graph as
+    `generate_matthew` for the same seed); p = 1 is the meritocracy event
+    process, distributed as `generate_meritocracy`."""
+    if config.p == 0:
+        return _capped_pa(int(config.n), int(config.m_cap), config.seed)
     return _event_loop(config.n, config.m_cap, float(config.p), config.seed)
 
 

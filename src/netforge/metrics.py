@@ -208,7 +208,7 @@ def clustering(g: DirectedGraph) -> tuple[np.ndarray, float]:
     return c, float(c.mean())
 
 
-@dataclass
+@dataclass(eq=False)    # holds an array: == is identity
 class MetricsReport:
     indegree: np.ndarray = field(repr=False)    # read-only; index k = node k+1
     alpha_hat: float | None

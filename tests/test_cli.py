@@ -60,6 +60,17 @@ class TestGenerate:
         assert err.startswith("error:") and len(err.splitlines()) == 1
         assert "seed" in err and "-1" in err
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--p", "-1e-3", "error: hybrid requires p in [0,1], got -0.001\n"),
+        ("--density", "-inf", "error: er_directed requires density in [0,1], got -inf\n")])
+    def test_negative_float_forms_are_values(self, capsys, flag, value, message):
+        # argparse takes only "-5"-like strings for numbers; exponent and inf
+        # forms must reach the validation too, not read as an option flag
+        model = "hybrid" if flag == "--p" else "er"
+        code, out, err = run(capsys, "generate", "--model", model, "--n", "10",
+                             "--m", "2", "--seed", "1", flag, value)
+        assert code == 1 and out == "" and err == message
+
     def test_hybrid_p_just_below_1_finishes(self, capsys, time_limit):
         # nodes at merit equilibrium still fire, with weight 1 - p, one draw each
         with time_limit(1):
@@ -374,7 +385,7 @@ class TestEmpirical:
         assert code == 1 and "line 2" in err and out == ""
         assert not (out_dir / "summary.json").exists()
 
-    @pytest.mark.parametrize("target", ["nan", "inf", "-5", "0"])
+    @pytest.mark.parametrize("target", ["nan", "inf", "-5", "0", "-1e+308", "-inf"])
     def test_bad_target_mean_exit_1(self, tmp_path, capsys, target):
         data = tmp_path / "counts.csv"
         data.write_text("10\n5\n5\n")

@@ -258,6 +258,15 @@ class TestSweep:
         with pytest.raises(SpecError):
             hybrid_sweep(spec(model="hybrid", p=0.5))
 
+    def test_rows_compare_by_identity(self):
+        # rows, result sets and reports hold arrays, so == is identity and
+        # returns a bool instead of raising on an array's truth value
+        s = spec(model="hybrid", n=30, m_cap=2, runs=2, sweep=[0.5])
+        (a,), (b,) = hybrid_sweep(s), hybrid_sweep(s)
+        for x, y in [(a, b), (a.result, b.result), (a.result.reports[0], b.result.reports[0])]:
+            assert (x == y) is False and (x != y) is True
+            assert (x == x) is True
+
     @pytest.mark.parametrize("runs", [1, 3])
     def test_run_gini_mean_and_sd(self, runs):
         rows = hybrid_sweep(spec(model="hybrid", n=40, m_cap=2, runs=runs, sweep=[0.3, 1.0]))
@@ -324,6 +333,10 @@ class TestEmpiricalIngest:
         b = empirical_ingest("3\n1\n8\n", target_mean=100.0)
         assert a.gini == b.gini
         assert np.mean(b.normalized_counts) == pytest.approx(100.0)
+
+    def test_results_compare_by_identity(self):
+        a, b = (empirical_ingest("3\n1\n8\n", target_mean=1.0) for _ in range(2))
+        assert (a == b) is False and (a == a) is True
 
     def test_blank_lines_skipped(self):
         res = empirical_ingest("\n2\n\n4\n", target_mean=3.0)

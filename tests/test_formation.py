@@ -8,7 +8,8 @@ from netforge import (ConfigError, FormationConfig, brute_force_oracle,
                       generate, generate_er_directed, generate_hybrid,
                       generate_matthew, generate_meritocracy,
                       merit_followee_matrix)
-from netforge.formation import _uniforms
+from netforge.formation import _firing_order, _uniforms
+from netforge.graph import DirectedGraph
 
 
 def cfg(**kw):
@@ -18,6 +19,37 @@ def cfg(**kw):
 def followees(g):
     """Per-node target lists, node order, creation order within each."""
     return [g.indices[a:b].tolist() for a, b in zip(g.indptr[:-1], g.indptr[1:])]
+
+
+def reference_matthew(n, m, seed):
+    """The Matthew model as a per-edge loop, kept only as a reference for the
+    array sampler behind `generate_matthew`: each event picks an active node
+    (out-degree < m) uniformly and draws its target from a pool holding one
+    virtual self-link per node plus every earlier target (weight in-degree + 1),
+    redrawing a target that is the node itself or one it already follows."""
+    followees = [set() for _ in range(n + 1)]
+    src = []
+    pool = list(range(1, n + 1))
+    active = list(range(1, n + 1))
+    where = list(range(-1, n))              # where[i]: index of node i in active
+    u = _uniforms(np.random.default_rng(seed)).__next__
+    while active:
+        i = active[int(u() * len(active))]
+        mine = followees[i]
+        while True:
+            j = pool[int(u() * len(pool))]
+            if j != i and j not in mine:
+                break
+        src.append(i)
+        mine.add(j)
+        pool.append(j)
+        if len(mine) == m:
+            k = where[i]
+            last = active.pop()
+            if last != i:
+                active[k] = last
+                where[last] = k
+    return DirectedGraph._from_out_adj(n, src, pool[n:])
 
 
 class TestConfig:
@@ -130,12 +162,70 @@ class TestMatthew:
         g = generate_matthew(cfg(model="matthew", n=2, m_cap=1, seed=5))
         assert sorted(g.edges()) == [(1, 2), (2, 1)]
 
-    @pytest.mark.parametrize("n,m", [(10, 3), (57, 5), (200, 1)])
+    @pytest.mark.parametrize("n,m", [(10, 3), (57, 5), (200, 1), (12, 11), (60, 59)])
     def test_exact_out_degrees(self, n, m):
+        # at m = n - 1 nearly every first draw is rejected, and the graph is
+        # the complete digraph
         g = generate_matthew(cfg(model="matthew", n=n, m_cap=m, seed=1))
         g.check_invariants()
         assert g.edge_count == m * n
         assert all(len(t) == m for t in followees(g))
+        if m == n - 1:
+            assert np.all(g.in_degree == n - 1)
+
+    def test_matches_reference_loop(self):
+        # Two-sample test against the per-edge loop, 200 runs each on disjoint
+        # seeds at n = 1000, M = 5. Runs are iid, so each run contributes one
+        # vector of features: the fraction of nodes at in-degree 0..19 and >= 20
+        # (the pooled histogram is their mean) and the mean in-degree over 26
+        # log-spaced rank bins (the binned mean rank curve). Every feature's
+        # Welch z must stay below 4.5: two-sided 7e-6 per feature, under 4e-4
+        # for all 47 together.
+        n, m, runs = 1000, 5, 200
+        edges = np.unique(np.geomspace(1, n + 1, 31).astype(int))
+
+        def features(g):
+            d = g.in_degree
+            hist = np.bincount(np.minimum(d, 20), minlength=21) / n
+            ranked = np.sort(d)[::-1]
+            curve = np.add.reduceat(ranked, edges[:-1] - 1) / np.diff(edges)
+            return np.concatenate((hist, curve))
+
+        new = np.array([features(generate_matthew(cfg(model="matthew", n=n, m_cap=m,
+                                                      seed=r)))
+                        for r in range(runs)])
+        old = np.array([features(reference_matthew(n, m, runs + r)) for r in range(runs)])
+        var = new.var(axis=0, ddof=1) + old.var(axis=0, ddof=1)
+        gap = np.abs(new.mean(axis=0) - old.mean(axis=0))
+        z = np.divide(gap * np.sqrt(runs), np.sqrt(var), out=np.zeros_like(gap),
+                      where=var > 0)
+        assert np.all(gap[var == 0] == 0)
+        assert z.max() < 4.5
+
+    @pytest.mark.parametrize("n,m", [(3, 2), (2, 3)])
+    def test_firing_order_law(self, n, m):
+        # each firing is uniform over the nodes with firings left, so a source
+        # sequence has probability prod_t 1 / (nodes with firings left at t);
+        # chi-square of 20000 orders against that exact law
+        law = {}
+
+        def walk(seq, left, prob):
+            live = [i for i in range(n) if left[i]]
+            if not live:
+                law[tuple(seq)] = prob
+            for i in live:
+                left[i] -= 1
+                walk(seq + [i], left, prob / len(live))
+                left[i] += 1
+
+        walk([], [m] * n, 1.0)
+        assert sum(law.values()) == pytest.approx(1.0)
+        rng, runs = np.random.default_rng(0), 20000
+        seen = Counter(tuple((np.argsort(_firing_order(rng, n, m), axis=None) // m).tolist())
+                       for _ in range(runs))
+        assert set(seen) <= set(law)
+        cells = sorted(law)
+        assert chisquare([seen[c] for c in cells], [law[c] * runs for c in cells]).pvalue > 1e-3
 
     def test_first_draw_uniform(self):
         # with all in-degrees zero every node carries weight 1: the first
@@ -244,6 +334,25 @@ class TestJumpChainOracle:
             expected.append(runs - sum(expected))
         if len(observed) > 1:
             assert chisquare(observed, expected).pvalue > 1e-3
+
+    def test_matthew_indegree_profile(self):
+        # The Matthew sampler redraws a rejected step and hands the new target
+        # to every step that copied it. The sorted in-degree vector has 6
+        # values at n = 5, M = 1, so 4000 runs resolve what the 2000-run
+        # edge-set tests above cannot: a sampler that skips the hand-off gave
+        # chi-square p of 1e-5 to 1e-9 here. Threshold as above.
+        n, m, runs = 5, 1, 4000
+        law = defaultdict(float)
+        for state, prob in jump_chain_oracle(n, m, 0.0).items():
+            indeg = Counter(j for f in state for j in f)
+            law[tuple(sorted(indeg[k] for k in range(1, n + 1)))] += prob
+        seen = Counter(tuple(sorted(generate_matthew(cfg(
+            model="matthew", n=n, m_cap=m, seed=r)).in_degree.tolist())) for r in range(runs))
+        assert set(seen) <= set(law)
+        cells = sorted(law)
+        assert min(law.values()) * runs >= 5
+        assert chisquare([seen[c] for c in cells],
+                         [law[c] * runs for c in cells]).pvalue > 1e-3
 
     @pytest.mark.parametrize("n,m", [(2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (4, 3)])
     def test_p1_matches_brute_force_oracle(self, n, m):
