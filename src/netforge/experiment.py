@@ -18,6 +18,7 @@ import numpy as np
 from . import __version__
 from .formation import (FormationConfig, generate, is_integer, is_real,
                         matched_er_density)
+from .lines import digit_runs, scan_lines
 from .metrics import (DEFAULT_XMIN, MetricsReport, compute_report,
                       degree_distribution, gini, path_stats)
 from .plotting import loglog_svg
@@ -258,6 +259,34 @@ class EmpiricalResult:
     scale: float = 1.0
 
 
+def _regular_counts(data: np.ndarray, starts: np.ndarray, ends: np.ndarray):
+    """scan_lines rule for the lines whose last comma-separated field (the
+    whole line when it has no comma) is all digits: (read, (1, lines) counts)."""
+    counts, first = digit_runs(data, ends)
+    read = (first < ends) & ((first == starts) | (data[first - 1] == ord(",")))
+    return read, counts.astype(np.float64)[None]
+
+
+def _count_line(line_no: int, raw: str) -> tuple[float] | None:
+    """scan_lines rule for any other line: its count, or None for a blank
+    line or a non-numeric header on line 1."""
+    line = raw.strip()
+    if not line:
+        return None
+    token = line.split(",")[-1].strip()
+    try:
+        value = float(token)
+    except ValueError:
+        if line_no == 1:
+            return None         # header row
+        raise EmpiricalParseError(line_no, f"non-numeric count {token!r}") from None
+    if not math.isfinite(value):
+        raise EmpiricalParseError(line_no, f"non-finite count {token!r}")
+    if value < 0:
+        raise EmpiricalParseError(line_no, f"negative count {value}")
+    return (value,)
+
+
 def empirical_ingest(text: str, target_mean: float) -> EmpiricalResult:
     """Parse follower counts (one per line, or "user_id,followers" rows; a
     single non-numeric header line is tolerated) and rescale so the mean count
@@ -266,26 +295,10 @@ def empirical_ingest(text: str, target_mean: float) -> EmpiricalResult:
     counts would overflow float64 raises ValueError."""
     if not is_real(target_mean) or target_mean <= 0:
         raise ValueError(f"target_mean must be a positive finite number, got {target_mean!r}")
-    counts: list[float] = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        token = line.split(",")[-1].strip()
-        try:
-            value = float(token)
-        except ValueError:
-            if line_no == 1 and not counts:
-                continue        # header row
-            raise EmpiricalParseError(line_no, f"non-numeric count {token!r}") from None
-        if not math.isfinite(value):
-            raise EmpiricalParseError(line_no, f"non-finite count {token!r}")
-        if value < 0:
-            raise EmpiricalParseError(line_no, f"negative count {value}")
-        counts.append(value)
-    if not counts:
+    (counts,), _ = scan_lines(text, _regular_counts, _count_line)
+    if not len(counts):
         raise EmpiricalParseError(1, "no follower counts found")
-    arr = np.sort(np.asarray(counts))[::-1]
+    arr = np.sort(counts)[::-1]
     try:
         with np.errstate(over="raise", invalid="raise"):
             total = arr.sum()

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .lines import digit_runs, scan_lines
+
 _ID_LIMIT = 2 ** 62     # node ids stay clear of int64 overflow
 
 
@@ -57,6 +59,34 @@ def _check_edges(n: int, src: np.ndarray, dst: np.ndarray) -> None:
     else:
         message = f"duplicate edge ({i},{j}) rejected"
     raise GraphError(message, edge=k)
+
+
+def _regular_edges(data: np.ndarray, starts: np.ndarray, ends: np.ndarray):
+    """scan_lines rule for the lines "digits,digits" with both ids >= 1:
+    (read, (2, lines) array of source and target ids)."""
+    dst, dst_first = digit_runs(data, ends)
+    comma = np.maximum(dst_first - 1, starts)      # the byte before the target
+    src, src_first = digit_runs(data, comma)
+    read = (data[comma] == ord(",")) & (src_first == starts) & (src >= 1) & (dst >= 1)
+    return read, np.stack((src, dst))
+
+
+def _edge_line(line_no: int, raw: str) -> tuple[int, int] | None:
+    """scan_lines rule for any other line: its (source, target), or None for
+    a blank line."""
+    line = raw.strip()
+    if not line:
+        return None
+    parts = line.split(",")
+    if len(parts) != 2:
+        raise EdgeListParseError(line_no, f"expected 'source,target', got {raw!r}")
+    try:
+        i, j = int(parts[0]), int(parts[1])
+    except ValueError:
+        raise EdgeListParseError(line_no, f"non-integer id in {raw!r}") from None
+    if not (1 <= i < _ID_LIMIT and 1 <= j < _ID_LIMIT):
+        raise EdgeListParseError(line_no, f"ids must be in [1, 2**62), got {raw!r}")
+    return i, j
 
 
 class DirectedGraph:
@@ -105,35 +135,17 @@ class DirectedGraph:
         Every line is parsed before any structural rule is applied, so a
         malformed line is reported before an out-of-range, self-loop or
         duplicate edge; among the latter the first line in file order wins."""
-        src: list[int] = []
-        dst: list[int] = []
-        lines = text.splitlines()
-        for line_no, raw in enumerate(lines, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise EdgeListParseError(line_no, f"expected 'source,target', got {raw!r}")
-            try:
-                i, j = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise EdgeListParseError(line_no, f"non-integer id in {raw!r}") from None
-            if not (1 <= i < _ID_LIMIT and 1 <= j < _ID_LIMIT):
-                raise EdgeListParseError(line_no, f"ids must be in [1, 2**62), got {raw!r}")
-            src.append(i)
-            dst.append(j)
+        values, line_nos = scan_lines(text, _regular_edges, _edge_line)
         if n is None:
-            if not src:
+            if not values.size:
                 raise GraphError("edge list has no edges; give n to read isolated nodes")
-            n = max(max(src), max(dst), 2)
+            n = max(int(values.max()), 2)
         try:
-            return cls._from_out_adj(n, src, dst)
+            return cls._from_out_adj(n, *values)
         except GraphError as exc:
             if exc.edge is None:
                 raise
-            line_no = [k for k, raw in enumerate(lines, start=1) if raw.strip()][exc.edge]
-            raise EdgeListParseError(line_no, str(exc)) from None
+            raise EdgeListParseError(int(line_nos[exc.edge]), str(exc)) from None
 
     # -- the one constructor ------------------------------------------------
 

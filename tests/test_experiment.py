@@ -1,11 +1,14 @@
 import dataclasses
 import json
+import math
 import os
 import warnings
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netforge import (EmpiricalParseError, ExperimentSpec, SpecError,
                       degree_distribution, empirical_ingest, export_results,
@@ -378,3 +381,63 @@ class TestEmpiricalIngest:
         with pytest.raises(EmpiricalParseError, match="non-finite") as exc:
             empirical_ingest(f"user,followers\na,3\nb,{token}\n", target_mean=1.0)
         assert exc.value.line_no == 3
+
+
+@pytest.mark.parametrize("brk", list("\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"))
+def test_every_splitlines_boundary_ends_a_line(brk):
+    assert empirical_ingest(f"4{brk}6\n", target_mean=5.0).n == 2
+    with pytest.raises(EmpiricalParseError) as exc:
+        empirical_ingest(f"4{brk}{brk}x\n3", target_mean=5.0)
+    assert exc.value.line_no == 3
+
+
+def reference_ingest(text, target_mean):
+    """Line-order scan: (normalized counts, gini, scale, n) that
+    empirical_ingest must return, or (EmpiricalParseError, line_no) of the
+    error it must raise."""
+    counts = []
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        if not raw.strip():
+            continue
+        try:
+            value = float(raw.split(",")[-1])
+        except ValueError:
+            if line_no == 1:
+                continue                # header
+            return EmpiricalParseError, line_no
+        if not math.isfinite(value) or value < 0:
+            return EmpiricalParseError, line_no
+        counts.append(value)
+    if not any(counts):
+        return EmpiricalParseError, 1   # no counts, or all zero
+    arr = np.sort(counts)[::-1]
+    scale = np.float64(target_mean) * len(arr) / arr.sum()
+    return arr * scale, gini(arr), float(scale), len(arr)
+
+
+count_lines = st.one_of(
+    st.integers(0, 10 ** 6).map(str),
+    st.integers(10 ** 15, 10 ** 18 - 1).map(str),     # 16-18 digits: float64 rounds them
+    st.integers(10 ** 18, 10 ** 20).map(str),
+    st.tuples(st.sampled_from(["u1", "a b", ""]), st.integers(0, 10 ** 18)).map(
+        lambda t: f"{t[0]},{t[1]}"),
+    st.sampled_from(["", "  ", " 3 ", "3.5", "1e3", "-0", "inf", "a,b,7", "7,", "-2",
+                     "abc", "0", "x,0012", "1_000", "\u0663", "4\x0c5", "6\r7"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(count_lines, max_size=12), st.booleans(), st.sampled_from(["\n", "\r\n"]),
+       st.booleans())
+def test_ingest_matches_reference(lines, header, newline, final_newline):
+    rows = (["user_id,followers"] if header else []) + lines
+    text = newline.join(rows) + (newline if final_newline else "")
+    expected = reference_ingest(text, 5.0)
+    try:
+        res = empirical_ingest(text, target_mean=5.0)
+    except EmpiricalParseError as exc:
+        assert (EmpiricalParseError, exc.line_no) == expected
+        return
+    assert expected[0] is not EmpiricalParseError, expected
+    counts, g, scale, n = expected
+    assert np.array_equal(res.normalized_counts, counts)
+    assert (res.gini, res.scale, res.n) == (g, scale, n)

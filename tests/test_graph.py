@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from netforge import DirectedGraph, EdgeListParseError, GraphError
+from netforge import (DirectedGraph, EdgeListParseError, FormationConfig, GraphError,
+                      generate)
 
 
 def graph(n, edges):
@@ -144,14 +145,33 @@ def random_graphs(draw):
     return graph(n, sorted(pairs))
 
 
-@settings(max_examples=100, deadline=None)
-@given(random_graphs())
-def test_round_trip_is_identity(g):
-    g2 = DirectedGraph.from_edge_list(g.to_edge_list(), n=g.n)
+def assert_same_graph(g2, g):
+    assert g2.n == g.n
     assert np.array_equal(g2.indptr, g.indptr)
     assert np.array_equal(g2.indices, g.indices)
     assert np.array_equal(g2.in_degree, g.in_degree)
     g2.check_invariants()
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_graphs())
+def test_round_trip_is_identity(g):
+    assert_same_graph(DirectedGraph.from_edge_list(g.to_edge_list(), n=g.n), g)
+
+
+@pytest.mark.parametrize("model, extra", [
+    ("meritocracy", {}), ("matthew", {}), ("hybrid", {"p": 0.4}),
+    ("er_directed", {"density": 0.003})])
+@pytest.mark.parametrize("ending", ["\n", "\r\n", "no final newline"])
+def test_generated_round_trip(model, extra, ending):
+    # four-digit ids: nearly every line is "digits,digits" and read in bulk
+    g = generate(FormationConfig(model=model, n=2000, m_cap=4, seed=9, **extra))
+    text = g.to_edge_list()
+    if ending == "\r\n":
+        text = text.replace("\n", "\r\n")
+    elif ending == "no final newline":
+        text = text[:-1]
+    assert_same_graph(DirectedGraph.from_edge_list(text, n=g.n), g)
 
 
 @settings(max_examples=50, deadline=None)
@@ -174,7 +194,7 @@ def reference_parse(text, n=None):
             i, j = map(int, parts) if len(parts) == 2 else (0, 0)
         except ValueError:
             i = j = 0
-        if min(i, j) < 1:
+        if min(i, j) < 1 or max(i, j) >= 2 ** 62:
             return EdgeListParseError, line_no
         pairs.append((line_no, i, j))
     if n is None and not pairs:
@@ -190,16 +210,35 @@ def reference_parse(text, n=None):
     return n, [(i, j) for _, i, j in sorted(pairs, key=lambda t: t[1])]
 
 
+@pytest.mark.parametrize("brk", list("\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"))
+def test_every_splitlines_boundary_ends_a_line(brk):
+    g = DirectedGraph.from_edge_list(f"1,2{brk}3,1\n", n=3)
+    assert list(g.edges()) == [(1, 2), (3, 1)]
+    with pytest.raises(EdgeListParseError) as exc:
+        DirectedGraph.from_edge_list(f"1,2{brk}{brk}2,x\n3,1")
+    assert exc.value.line_no == 3
+
+
+# ids of 18, 19 and 20 digits around 2**62 = 4611686018427387904
+big_ids = ["999999999999999999", "000000000000000007", "4611686018427387903",
+           "4611686018427387904", "9999999999999999999", "18446744073709551617"]
 edge_lines = st.one_of(
     st.tuples(st.integers(-1, 7), st.integers(-1, 7)).map(lambda t: f"{t[0]},{t[1]}"),
-    st.sampled_from(["", "  ", " 2 , 3 ", "1;2", "1,2,3", "a,1", "3,", "+4,1"]))
+    st.tuples(st.sampled_from(big_ids), st.integers(1, 7)).map(
+        lambda t: f"{t[0]},{t[1]}" if t[1] % 2 else f"{t[1]},{t[0]}"),
+    st.sampled_from(["", "  ", " 2 , 3 ", "1;2", "1,2,3", "a,1", "3,", "+4,1",
+                     "0,1", "00,3", "007,2", "1,2\r", "\x0c", "\u2028", "3\u20281,2",
+                     "\u0661,2", "1_0,2", "4,1\x85", "2,1\r3,1"]))
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(edge_lines, max_size=12), st.one_of(st.none(), st.integers(0, 8)))
-def test_from_edge_list_matches_reference(lines, n):
-    text = "\n".join(lines)
+@given(st.lists(edge_lines, max_size=12), st.one_of(st.none(), st.integers(0, 8)),
+       st.booleans())
+def test_from_edge_list_matches_reference(lines, n, final_newline):
+    text = "\n".join(lines) + ("\n" if final_newline else "")
     expected = reference_parse(text, n)
+    # a valid 18-digit id with n left out asks for a graph of 10**17 nodes
+    assume(not isinstance(expected[0], int) or expected[0] < 100)
     try:
         g = DirectedGraph.from_edge_list(text, n=n)
     except GraphError as exc:

@@ -5,9 +5,11 @@ The digests were recorded before MetricsReport kept its in-degree vector in
 place of the histogram dict; the two that hash matthew output were re-recorded
 when the Matthew sampler's RNG stream changed (the loop it replaced is kept in
 test_formation.py as the reference of a two-sample test). A deliberate change
-to an export format updates them together with the format. The inputs are small enough that no power-law
-fit runs (alpha_hat is null), so every exported number comes from sums, counts
-and divisions of small integers and reads the same on any IEEE-754 host.
+to an export format updates them together with the format. The empirical
+digests were recorded before the follower-CSV parser read regular lines in
+bulk. The inputs are small enough that no power-law fit runs (alpha_hat is
+null), so every exported number comes from sums, counts and divisions of
+small integers (and one half) and reads the same on any IEEE-754 host.
 """
 
 import contextlib
@@ -60,3 +62,22 @@ def test_metrics_full_stdout_bytes(tmp_path):
         assert main(["metrics", "--in", str(edges), "--full"]) == 0
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == (
         "1d7177a09dc95b13ef68a62a1b07146adf11c9bf2d4ba636efd5a2a621b15236")
+
+
+def test_empirical_exports_bytes(tmp_path):
+    # a header, plain rows and a few rows only the per-line rules read
+    rows = [f"u{i},{i * 37 % 101}" for i in range(1, 41)] + ["", " u41 , 7 ", "u42,3.5"]
+    csv = tmp_path / "followers.csv"
+    csv.write_text("user_id,followers\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        assert main(["empirical", "--in", str(csv), "--target-mean", "5",
+                     "--out", str(tmp_path / "emp")]) == 0
+    digests = {name: hashlib.sha256((tmp_path / "emp" / name).read_bytes()).hexdigest()
+               for name in ("rank_curve.csv", "summary.json")}
+    digests["stdout"] = hashlib.sha256(out.getvalue().encode()).hexdigest()
+    assert digests == {
+        "rank_curve.csv": "d717270a41bbb3dcf83049f9ba67b87d78cdf9b19f9e18e90e0e32890da87685",
+        "summary.json": "ec454aa6fb18bea2286dc568371abc65908ddd545287c638d5984b56a1c788f8",
+        "stdout": "72d4d043d6bfe69e90205e411891a9dc37089e4a7f29a72361f77d1ec76e7789",
+    }
