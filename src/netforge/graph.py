@@ -43,10 +43,15 @@ def _check_edges(n: int, src: np.ndarray, dst: np.ndarray) -> None:
     outside = (src < 1) | (src > n) | (dst < 1) | (dst > n)
     # clipped ids keep the key in range; a key shared with an out-of-range
     # edge can only mark an edge that comes after it
-    key = np.clip(src, 0, n + 1) * (n + 2) + np.clip(dst, 0, n + 1)
-    order = np.argsort(key, kind="stable")
-    repeat = np.zeros(len(key), dtype=bool)
-    repeat[order[1:]] = key[order[1:]] == key[order[:-1]]
+    s, d = np.clip(src, 0, n + 1), np.clip(dst, 0, n + 1)
+    repeat = np.zeros(len(s), dtype=bool)
+    if (n + 1) * (n + 3) < 2 ** 63:
+        key = s * (n + 2) + d
+        order = np.argsort(key, kind="stable")
+        repeat[order[1:]] = key[order[1:]] == key[order[:-1]]
+    else:       # s * (n + 2) + d would overflow int64
+        order = np.lexsort((d, s))
+        repeat[order[1:]] = (s[order[1:]] == s[order[:-1]]) & (d[order[1:]] == d[order[:-1]])
     bad = np.flatnonzero(outside | (src == dst) | repeat)
     if not len(bad):
         return

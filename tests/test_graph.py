@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from netforge import (DirectedGraph, EdgeListParseError, FormationConfig, GraphError,
@@ -234,6 +234,8 @@ edge_lines = st.one_of(
 @settings(max_examples=300, deadline=None)
 @given(st.lists(edge_lines, max_size=12), st.one_of(st.none(), st.integers(0, 8)),
        st.booleans())
+# n inferred near 2**62: the duplicate check must not overflow int64
+@example(["\u0661,2", "4,4611686018427387903", "1,1"], None, False)
 def test_from_edge_list_matches_reference(lines, n, final_newline):
     text = "\n".join(lines) + ("\n" if final_newline else "")
     expected = reference_parse(text, n)
