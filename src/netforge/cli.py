@@ -12,6 +12,8 @@ import os
 import sys
 from dataclasses import replace
 
+import numpy as np
+
 from .experiment import (ExperimentSpec, _atomic_write, _write_csv, _write_json,
                          empirical_ingest, export_results, export_sweep,
                          hybrid_sweep, run_batch)
@@ -170,7 +172,7 @@ def _cmd_empirical(args) -> int:
     result = empirical_ingest(_read(args.infile), target_mean=args.target_mean)
     os.makedirs(args.out, exist_ok=True)
     _write_csv(os.path.join(args.out, "rank_curve.csv"), "rank,normalized_followers",
-               enumerate(result.normalized_counts, start=1))
+               np.arange(1, result.n + 1), result.normalized_counts)
     summary = {"n": result.n, "gini": result.gini, "scale": result.scale,
                "target_mean": args.target_mean}
     _write_json(os.path.join(args.out, "summary.json"), summary)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 import os
-import tempfile
+import secrets
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 
 import numpy as np
@@ -18,7 +18,7 @@ import numpy as np
 from . import __version__
 from .formation import (FormationConfig, generate, is_integer, is_real,
                         matched_er_density)
-from .lines import digit_runs, scan_lines
+from .lines import digit_runs, rows, scan_lines
 from .metrics import (DEFAULT_XMIN, MetricsReport, compute_report,
                       degree_distribution, gini, path_stats)
 from .plotting import loglog_svg
@@ -316,12 +316,18 @@ def empirical_ingest(text: str, target_mean: float) -> EmpiricalResult:
 
 
 def _atomic_write(path: str, data: str) -> str:
-    """Write data to path through a temporary file and a rename. Returns path."""
-    d = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-")
+    """Write data to path through a temporary file and a rename. The file
+    gets the mode open(path, "w") would leave: a replaced file keeps its
+    mode, a new one gets 0o666 less the umask. Returns path."""
+    tmp = os.path.join(os.path.dirname(path) or ".", f".tmp-{secrets.token_hex(8)}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)    # the umask applies
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(data)
+        try:
+            os.chmod(tmp, os.stat(path).st_mode & 0o7777)
+        except FileNotFoundError:
+            pass
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -330,11 +336,10 @@ def _atomic_write(path: str, data: str) -> str:
     return path
 
 
-def _write_csv(path: str, header: str, rows) -> str:
-    """Atomically write the header and one line per (key, *values) tuple: the
-    key as is, each value as %.12g. Returns path."""
-    line = "%s" + ",%.12g" * header.count(",") + "\n"
-    return _atomic_write(path, header + "\n" + "".join([line % row for row in rows]))
+def _write_csv(path: str, header: str, *columns) -> str:
+    """Atomically write the header and the rows of the columns (see
+    lines.rows). Returns path."""
+    return _atomic_write(path, header + "\n" + rows(columns))
 
 
 def _write_json(path: str, obj) -> str:
@@ -347,17 +352,22 @@ def export_results(rs: ResultSet, out_dir: str) -> list[str]:
     """Write metrics.json, rank_curve.csv, degree_ccdf.csv (and SVG charts when
     rs.spec.emit_plots is set) atomically. Returns the written paths."""
     os.makedirs(out_dir, exist_ok=True)
-    rank = list(enumerate(rs.mean_rank_curve, start=1))
-    ccdf = rs.pooled_ccdf
+    curve = rs.mean_rank_curve
+    ranks = np.arange(1, len(curve) + 1)
+    points = rs.pooled_ccdf
+    degrees, ccdf = (np.array(c) for c in zip(*points))
     written = [_write_json(os.path.join(out_dir, "metrics.json"), rs.to_dict()),
-               _write_csv(os.path.join(out_dir, "rank_curve.csv"), "rank,mean_indegree", rank),
-               _write_csv(os.path.join(out_dir, "degree_ccdf.csv"), "indegree,ccdf", ccdf)]
+               _write_csv(os.path.join(out_dir, "rank_curve.csv"), "rank,mean_indegree",
+                          ranks, curve),
+               _write_csv(os.path.join(out_dir, "degree_ccdf.csv"), "indegree,ccdf",
+                          degrees, ccdf)]
     if rs.spec.emit_plots:
         written += [
             _atomic_write(os.path.join(out_dir, "rank_curve.svg"),
-                          loglog_svg(rank, "Mean in-degree vs rank", "rank", "mean in-degree")),
+                          loglog_svg(list(enumerate(curve.tolist(), start=1)),
+                                     "Mean in-degree vs rank", "rank", "mean in-degree")),
             _atomic_write(os.path.join(out_dir, "degree_ccdf.svg"),
-                          loglog_svg(ccdf, "In-degree CCDF", "in-degree", "P[D >= d]"))]
+                          loglog_svg(points, "In-degree CCDF", "in-degree", "P[D >= d]"))]
     return written
 
 
@@ -365,14 +375,17 @@ def export_sweep(rows: list[SweepRow], out_dir: str) -> list[str]:
     """Write sweep_gini.csv, a per-p rank curve file for each batch and
     provenance.json, the list of each batch's provenance (full-precision p)."""
     os.makedirs(out_dir, exist_ok=True)
-    written = [_write_csv(os.path.join(out_dir, f"rank_curve_p{row.p:g}.csv"),
-                          "rank,mean_indegree", enumerate(row.result.mean_rank_curve, start=1))
-               for row in rows]
+    written = []
+    for row in rows:
+        curve = row.result.mean_rank_curve
+        written.append(_write_csv(os.path.join(out_dir, f"rank_curve_p{row.p:g}.csv"),
+                                  "rank,mean_indegree", np.arange(1, len(curve) + 1), curve))
     written.append(_write_csv(
         os.path.join(out_dir, "sweep_gini.csv"),
         "p,gini_expected_curve,gini_rank_curve,gini_run_mean,gini_run_sd",
-        [(f"{row.p:g}", row.gini_expected_curve, row.gini_rank_curve, row.gini_run_mean,
-          row.gini_run_sd) for row in rows]))
+        [f"{row.p:g}" for row in rows],
+        *np.array([(row.gini_expected_curve, row.gini_rank_curve, row.gini_run_mean,
+                    row.gini_run_sd) for row in rows]).T))
     written.append(_write_json(os.path.join(out_dir, "provenance.json"),
                                [row.result.provenance for row in rows]))
     return written

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .lines import digit_runs, scan_lines
+from .lines import digit_runs, rows, scan_lines
 
 _ID_LIMIT = 2 ** 62     # node ids stay clear of int64 overflow
 
@@ -129,8 +129,7 @@ class DirectedGraph:
 
     def to_edge_list(self) -> str:
         """One "source,target" line per edge; node order, insertion order within node."""
-        pairs = np.column_stack((self._sources(), self.indices)).ravel()
-        return ("%d,%d\n" * self.edge_count) % tuple(pairs.tolist())
+        return rows([self._sources(), self.indices])
 
     @classmethod
     def from_edge_list(cls, text: str, n: int | None = None) -> "DirectedGraph":

@@ -1,4 +1,4 @@
-"""Line-by-line text parsing with a bulk path for regular lines.
+"""Line-by-line text parsing and writing, each with a bulk numpy path.
 
 The edge-list and follower-CSV readers each give two rules for one line of
 text. A numpy rule reads every *regular* line at once from the text's UTF-8
@@ -7,6 +7,10 @@ per-line rule reads every other line (blanks, whitespace, signs, headers,
 errors) in line order, so it alone decides which error is raised first. On
 a regular line both rules give the same value. The lines are the ones
 `str.splitlines` gives, numbered from 1.
+
+`rows` writes columns of numbers as CSV rows, byte for byte as Python's
+``%d`` and ``%.12g`` write them, with numpy digit tables; only a value whose
+rounding its float arithmetic cannot prove goes through Python's ``%``.
 """
 
 from __future__ import annotations
@@ -61,14 +65,212 @@ def scan_lines(text: str, regular, parse_line):
     starts = np.zeros_like(ends)
     starts[1:] = ends[:-1] + 1
     read, values = regular(data, starts, ends)
-    rows, entries = [], []
+    taken, entries = [], []
     other = np.flatnonzero(~read)
     for k, s, e in zip(other.tolist(), starts[other].tolist(), ends[other].tolist()):
         entry = parse_line(k + 1, buf[s:e].decode("utf-8", "surrogatepass"))
         if entry is not None:
-            rows.append(k)
+            taken.append(k)
             entries.append(entry)
-    if rows:
-        values[:, rows] = np.array(entries, dtype=values.dtype).T
-        read[rows] = True
+    if taken:
+        values[:, taken] = np.array(entries, dtype=values.dtype).T
+        read[taken] = True
     return values.compress(read, axis=1), np.flatnonzero(read) + 1
+
+
+# -- writing -----------------------------------------------------------------
+#
+# rows() writes a slice of rows at a time into a (rows, bytes) array copied
+# from one line template, then keeps the bytes a per-row mask selects. Every
+# field takes whole 4-byte words of the line, so that its digits go in as
+# uint32 words, four at a time, from a 10**4-entry table. A field starts with
+# a word that holds its separator; in the first field that is the "\n" that
+# ends the row before.
+
+SLICE = 1 << 13     # rows formatted at once: bounds the temporaries
+
+
+def _words(table) -> np.ndarray:
+    """Each row of 4 bytes of table as one uint32."""
+    return np.ascontiguousarray(table, dtype=np.uint8).view(np.uint32).ravel()
+
+
+_k = np.arange(10_000)
+_DIGITS4 = np.stack([_k // 1000, _k // 100 % 10, _k // 10 % 10, _k % 10], axis=1) + ord("0")
+_QUADS = _words(_DIGITS4)      # k -> the 4 digits of k, zero-padded
+_QUAD_ZEROS = sum((_k % 10 ** j == 0).astype(np.int8) for j in (1, 2, 3, 4))  # 4 for 0
+# for the leading 4 of 12 digits, 0 only when all are: the 12 zeros of 0 then
+# count as 11, so that 0 is written as "0"
+_TOP_ZEROS = np.minimum(_QUAD_ZEROS, 3)
+_e = np.arange(-310, 311)
+# _EXPONENTS[e + 310]: the sign of e and 3 digits of |e|
+_EXPONENTS = _words(np.column_stack((np.where(_e < 0, ord("-"), ord("+")),
+                                     _DIGITS4[np.abs(_e), 1:])))
+# _FLOAT_CLASS[e + 310]: 12 * the exponent class of e (see _FLOAT_TEMPLATE)
+_FLOAT_CLASS = 12 * np.where((_e >= -4) & (_e < 12), _e + 4, np.where(np.abs(_e) < 100, 16, 17))
+del _k, _DIGITS4, _e
+_POW10 = 10 ** np.arange(1, 19, dtype=np.int64)    # an int64 has < 20 digits
+# _SCALE[k + 300]: 10**k rounded once; 0 beyond 1e308, where no value is scaled
+_SCALE = np.array([float(f"1e{k}") if k <= 308 else 0.0 for k in range(-300, 320)])
+
+# A %.12g field holds a value's 12 rounded digits d0..d11 and exponent e
+# (d0.d1...d11 * 10**e) at fixed bytes of its 40-byte template, in words:
+#   ",-0_"  d0-d3 d4-d7 d8-d11 (integer part)  ".000"
+#   d0-d3 d4-d7 d8-d11 (fraction part)  "___e"  exponent sign and 3 digits
+# (_ is never kept). Its mask depends on the sign, the exponent class (e + 4
+# for the fixed notation, -4 <= e < 12; 16 for an exponent of 2 digits, 17
+# of 3) and the count k of digits left once trailing zeros are stripped.
+_FLOAT_TEMPLATE = b",-0\0" + b"0" * 12 + b".000" + b"0" * 12 + b"\0\0\0e+000"
+_HALF_MARGIN = 2.0 ** -10   # above the error of |x| * _SCALE[...]: two roundings, < 2.3e-4
+
+
+def _float_keep() -> np.ndarray:
+    """(2 * 18 * 12, 40) masks, row neg * 216 + 12 * class + k - 1."""
+    neg = np.arange(2)[:, None, None, None]
+    cls = np.arange(18)[None, :, None, None]
+    k = np.arange(1, 13)[None, None, :, None]
+    j = np.arange(len(_FLOAT_TEMPLATE))
+    e = cls - 4
+    whole = (cls < 16) & (e >= 0)       # fixed, with an integer part: 123.45
+    small = (cls < 16) & (e < 0)        # fixed, below 1: 0.0012345
+    sci = cls >= 16                     # 1.2345e+20
+    first_fraction = np.where(whole, e + 1, np.where(small, 0, 1))
+    a, z, b, x = j - 4, j - 17, j - 20, j - 37      # offsets in each part
+    keep = (j == 0) | ((j == 1) & (neg == 1)) | ((j == 2) & small)
+    keep = keep | ((0 <= a) & (a < 12) & ((whole & (a <= e)) | (sci & (a == 0))))
+    keep = keep | ((j == 16) & (k > first_fraction))
+    keep = keep | ((0 <= z) & (z < 3) & small & (z < -e - 1))
+    keep = keep | ((0 <= b) & (b < 12) & (first_fraction <= b) & (b < k))
+    keep = keep | (sci & ((j == 35) | (j == 36) | (x >= 1) | ((x == 0) & (cls == 17))))
+    return keep.reshape(-1, len(_FLOAT_TEMPLATE))
+
+
+_FLOAT_KEEP = _float_keep()
+
+
+class _IntField:
+    """Non-negative integers as %d: right-aligned digits, leading zeros dropped."""
+
+    def __init__(self, values: np.ndarray):
+        self.values = np.asarray(values, dtype=np.int64)
+        if len(values) and self.values.min() < 0:
+            raise ValueError("an integer column must be non-negative")
+        digits = int(np.searchsorted(_POW10, self.values.max(initial=0), side="right")) + 1
+        self._pow10 = _POW10[:digits - 1]
+        self.groups = -(-digits // 4)
+        self.template = b",\0\0\0" + b"0" * 4 * self.groups
+        # _keep[d]: the mask of a value of d digits
+        j = np.arange(len(self.template))
+        self._keep = (j == 0) | (j >= len(self.template) - np.arange(digits + 1)[:, None])
+
+    def write(self, lo: int, hi: int, text: np.ndarray, keep: np.ndarray) -> None:
+        v = self.values[lo:hi]
+        keep[:] = self._keep.take(np.searchsorted(self._pow10, v, side="right") + 1, axis=0)
+        quads = text.view(np.uint32)
+        for g in range(self.groups, 1, -1):
+            high = v // 10_000
+            quads[:, g] = _QUADS.take(v - high * 10_000)
+            v = high
+        quads[:, 1] = _QUADS.take(v)
+
+
+class _FloatField:
+    """Floats as %.12g, by float arithmetic where its error bound proves the
+    rounding, and by Python's % elsewhere."""
+
+    template = _FLOAT_TEMPLATE
+
+    def __init__(self, values: np.ndarray):
+        self.values = np.asarray(values, dtype=np.float64)
+
+    def write(self, lo: int, hi: int, text: np.ndarray, keep: np.ndarray) -> None:
+        x = self.values[lo:hi]
+        a = np.abs(x)
+        normal = (a >= 1e-300) & (a <= 1e300)       # NaN compares false
+        a = np.where(normal, a, 0.0)
+        e = np.floor(np.log10(np.where(normal, a, 1.0))).astype(np.int64)
+        m = a * _SCALE.take(311 - e)
+        # Two roundings put m within 2.3e-4 of the exact |x| * 10**(11 - e):
+        # more than _HALF_MARGIN from a half, it rounds as the exact value
+        # does. Where log10 put e one off near a power of ten, m is outside
+        # [1e11, 1e12); such values, and those that are not normal or near a
+        # half, go to Python.
+        r = np.rint(m)
+        exact = (m >= 1e11) & (m < 1e12) & (np.abs(m - r) < 0.5 - _HALF_MARGIN)
+        r = (r * exact).astype(np.int64)        # 0, written as "0", where not exact
+        carry = r == 10 ** 12
+        r -= carry * (9 * 10 ** 11)
+        e += carry
+        high = r // 10 ** 8
+        mid = r // 10 ** 4
+        low = r - mid * 10 ** 4
+        mid -= high * 10 ** 4
+        zeros = _QUAD_ZEROS.take(low) + (low == 0) * (
+            _QUAD_ZEROS.take(mid) + (mid == 0) * _TOP_ZEROS.take(high))
+        row = _FLOAT_CLASS.take(e + 310) + np.signbit(x) * 216 + (11 - zeros)
+        keep[:] = _FLOAT_KEEP.take(row, axis=0)
+        words = text.view(np.uint32)
+        for j, part in ((1, high), (2, mid), (3, low)):
+            words[:, j] = words[:, j + 4] = _QUADS.take(part)
+        words[:, 9] = _EXPONENTS.take(e + 310)
+        other = np.flatnonzero(~(exact | (x == 0)))     # NaN, inf, |x| out of range, near-ties
+        if len(other):
+            spliced = np.array([("%.12g" % v).encode() for v in x[other].tolist()],
+                               dtype=f"S{len(self.template) - 1}")
+            text[other, 1:] = spliced.view(np.uint8).reshape(len(other), -1)
+            keep[other, 1:] = (np.arange(len(self.template) - 1)
+                               < np.char.str_len(spliced)[:, None])
+
+
+class _StrField:
+    """Strings as they are."""
+
+    def __init__(self, values):
+        if not all(isinstance(s, str) for s in values):
+            raise TypeError("a column is an integer or float array, or a sequence of str")
+        encoded = [s.encode("utf-8") for s in values]
+        self._lengths = np.array([len(b) for b in encoded], dtype=np.int64)
+        w = -(-self._lengths.max(initial=0) // 4) * 4
+        self.values = np.array(encoded, dtype=f"S{max(w, 4)}")
+        self.template = b",\0\0\0" + b"\0" * max(w, 4)
+
+    def write(self, lo: int, hi: int, text: np.ndarray, keep: np.ndarray) -> None:
+        text[:, 4:] = self.values[lo:hi].view(np.uint8).reshape(hi - lo, -1)
+        keep[:] = np.arange(len(self.template)) - 4 < self._lengths[lo:hi, None]
+        keep[:, :4] = [True, False, False, False]
+
+
+def _field(values):
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
+        return _IntField(values)
+    if isinstance(values, np.ndarray) and values.dtype.kind == "f":
+        return _FloatField(values)
+    return _StrField(values)
+
+
+def rows(columns) -> str:
+    """The lines of a CSV table: for each row, its entry of every column,
+    joined by "," and ended by "\\n". A column is a non-negative integer
+    array (written as %d), a float array (as %.12g) or a sequence of str
+    (as is); every column has the same length."""
+    fields = [_field(c) for c in columns]
+    n = len(fields[0].values) if fields else 0
+    if any(len(f.values) != n for f in fields):
+        raise ValueError("columns differ in length")
+    if not n:
+        return ""
+    # each row starts with "\n" in place of the first field's separator
+    line = np.frombuffer(b"\n" + b"".join(f.template for f in fields)[1:], dtype=np.uint8)
+    ends = np.cumsum([len(f.template) for f in fields])
+    block = np.tile(line, (min(n, SLICE), 1))
+    pieces = []
+    for lo in range(0, n, SLICE):
+        hi = min(lo + SLICE, n)
+        text = block[:hi - lo].copy()
+        keep = np.empty(text.shape, dtype=bool)
+        for f, end in zip(fields, ends):
+            start = end - len(f.template)
+            f.write(lo, hi, text[:, start:end], keep[:, start:end])
+        pieces.append(text[keep].tobytes())
+    pieces[0] = pieces[0][1:]       # drop the "\n" before the first row, add the last one
+    return b"".join(pieces + [b"\n"]).decode("utf-8")

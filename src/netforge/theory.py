@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .lines import rows
+
 MAX_TABLE_ENTRIES = 1 << 27     # m_cap * n floats recursion_table may allocate: 1 GiB
 
 
@@ -50,10 +52,8 @@ class CurveSpec:
     name: str = "curve"
 
     def to_csv(self) -> str:
-        lines = [f"# curve: {self.name} n={self.n} m={self.m_cap}",
-                 "rank,expected_indegree"]
-        lines += [f"{i},{v:.12g}" for i, v in enumerate(self.values, start=1)]
-        return "\n".join(lines) + "\n"
+        return (f"# curve: {self.name} n={self.n} m={self.m_cap}\nrank,expected_indegree\n"
+                + rows([np.arange(1, len(self.values) + 1), self.values]))
 
 
 def recursion_table(n: int, m_cap: int) -> TheoryTable:

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import stat
 import warnings
 from collections import Counter
 
@@ -222,6 +223,28 @@ class TestExports:
         export_results(run_batch(spec()), str(d2))
         for name in ("metrics.json", "rank_curve.csv", "degree_ccdf.csv"):
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077])
+    def test_new_export_gets_the_mode_open_gives(self, tmp_path, umask):
+        old = os.umask(umask)
+        try:
+            experiment._atomic_write(str(tmp_path / "export.csv"), "a\n")
+            with open(tmp_path / "plain.csv", "w") as fh:
+                fh.write("a\n")
+        finally:
+            os.umask(old)
+        modes = {stat.S_IMODE(os.stat(tmp_path / name).st_mode)
+                 for name in ("export.csv", "plain.csv")}
+        assert modes == {0o666 & ~umask}
+
+    def test_replaced_export_keeps_its_mode(self, tmp_path):
+        path = tmp_path / "export.csv"
+        path.write_text("old\n")
+        os.chmod(path, 0o640)
+        experiment._atomic_write(str(path), "new\n")
+        assert stat.S_IMODE(os.stat(path).st_mode) == 0o640
+        assert path.read_text() == "new\n"
+        assert os.listdir(tmp_path) == ["export.csv"]     # no temporary file left
 
     def test_export_sweep(self, tmp_path):
         s = spec(model="hybrid", n=40, m_cap=2, runs=2, sweep=[0.0, 1.0])

@@ -1,0 +1,108 @@
+"""lines.rows against Python's own "%d" and "%.12g" row by row: every byte
+of its output must be what the % operator writes."""
+
+import struct
+from decimal import Decimal
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from netforge.lines import SLICE, rows
+
+
+def reference(*columns) -> str:
+    """One "%d", "%.12g" or "%s" entry per value, by its column's kind."""
+    formats = []
+    for c in columns:
+        if isinstance(c, np.ndarray) and c.dtype.kind in "iu":
+            formats.append("%d")
+        elif isinstance(c, np.ndarray):
+            formats.append("%.12g")
+        else:
+            formats.append("%s")
+    line = ",".join(formats) + "\n"
+    lists = [c.tolist() if isinstance(c, np.ndarray) else list(c) for c in columns]
+    return "".join(line % row for row in zip(*lists))
+
+
+def from_bits(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+
+def nearest_tie(k: int, j: int) -> float:
+    """The float nearest to (k + 1/2) * 10**j, a tie at 12 digits when exact."""
+    return float(Decimal(2 * k + 1) * Decimal(10) ** j / 2)
+
+
+def neighbours(x: float, steps: int) -> float:
+    toward = np.inf if steps > 0 else -np.inf
+    for _ in range(abs(steps)):
+        x = float(np.nextafter(x, toward))
+    return x
+
+
+signed = st.tuples(st.booleans(), st.floats(min_value=0.0)).map(
+    lambda t: -t[1] if t[0] else t[1])
+floats = st.one_of(
+    st.floats(),                                        # NaN, inf, subnormals, +-0
+    signed,
+    st.integers(-2 ** 63, 2 ** 63 - 1).map(from_bits),
+    st.builds(lambda k, j, s: neighbours(nearest_tie(k, j), s),
+              st.integers(10 ** 11, 10 ** 12 - 1), st.integers(-320, 300),
+              st.integers(-2, 2)),
+    st.builds(neighbours, st.sampled_from([1e-5, 1e-4, 1e11, 1e12, 1e-300, 1e300]),
+              st.integers(-3, 3)),
+    st.integers(-2 ** 53, 2 ** 53).map(float),
+)
+ids = st.one_of(st.sampled_from([0, 9, 10, 9999, 10 ** 4, 2 ** 62 - 1, 2 ** 63 - 1]),
+                st.integers(0, 2 ** 63 - 1))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.tuples(ids, floats), max_size=20))
+@example([(1, 123456789012.5), (2, 999999999999.5), (3, -0.0), (4, 5e-324),
+          (5, 99999999999.95), (6, 9.99999999999995e-05), (7, float("nan"))])
+def test_int_and_float_columns(pairs):
+    keys = np.array([k for k, _ in pairs], dtype=np.int64)
+    values = np.array([v for _, v in pairs], dtype=np.float64)
+    assert rows([keys, values]) == reference(keys, values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(ids, ids), max_size=20))
+def test_int_columns(pairs):
+    src = np.array([a for a, _ in pairs], dtype=np.int64)
+    dst = np.array([b for _, b in pairs], dtype=np.int64)
+    assert rows([src, dst]) == reference(src, dst)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.text(st.characters(codec="utf-8"), max_size=6),
+                          floats, floats), max_size=8))
+def test_str_and_float_columns(entries):
+    labels = [s for s, _, _ in entries]
+    a = np.array([v for _, v, _ in entries], dtype=np.float64)
+    b = np.array([v for _, _, v in entries], dtype=np.float64)
+    assert rows([labels, a, b]) == reference(labels, a, b)
+
+
+@pytest.mark.parametrize("n", [0, 1, SLICE - 1, SLICE, SLICE + 1, 2 * SLICE + 3])
+def test_row_counts_across_slices(n):
+    rng = np.random.default_rng(n)
+    values = rng.lognormal(0.0, 8.0, n) * rng.choice([-1.0, 1.0], n)
+    values[::7] = rng.integers(0, 10 ** 6, len(values[::7]))
+    values[::11] = np.resize([np.nan, np.inf, -0.0, 0.5, 1e-320], len(values[::11]))
+    keys = rng.integers(0, 2 ** 62, n)
+    assert rows([keys, values]) == reference(keys, values)
+    assert rows([keys]) == reference(keys)
+
+
+def test_rejects_what_it_cannot_write():
+    with pytest.raises(ValueError, match="non-negative"):
+        rows([np.array([3, -1])])
+    with pytest.raises(ValueError, match="length"):
+        rows([np.arange(3), np.ones(2)])
+    with pytest.raises(TypeError):
+        rows([[1.5, 2.5]])

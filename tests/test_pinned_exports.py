@@ -7,9 +7,11 @@ when the Matthew sampler's RNG stream changed (the loop it replaced is kept in
 test_formation.py as the reference of a two-sample test). A deliberate change
 to an export format updates them together with the format. The empirical
 digests were recorded before the follower-CSV parser read regular lines in
-bulk. The inputs are small enough that no power-law fit runs (alpha_hat is
+bulk, and the generate and theory digests before the CSV and edge-list
+writers formatted numbers in bulk. The inputs are small enough that no power-law fit runs (alpha_hat is
 null), so every exported number comes from sums, counts and divisions of
-small integers (and one half) and reads the same on any IEEE-754 host.
+small integers (and one half) and reads the same on any IEEE-754 host;
+the merit-approx curve alone goes through numpy's log.
 """
 
 import contextlib
@@ -81,3 +83,31 @@ def test_empirical_exports_bytes(tmp_path):
         "summary.json": "ec454aa6fb18bea2286dc568371abc65908ddd545287c638d5984b56a1c788f8",
         "stdout": "72d4d043d6bfe69e90205e411891a9dc37089e4a7f29a72361f77d1ec76e7789",
     }
+
+
+def stdout_digest(argv) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) == 0
+    return hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+@pytest.mark.parametrize("model, extra, digest", [
+    ("meritocracy", [], "bed8aec49f9d7b498a98d1f554f62f52cb33f7cd82ce4bae173cfe0edab93baa"),
+    ("matthew", [], "149161d0a8f22edd49d4339416c4771b4a49a7bf1f3c223b8bef299612556bb0"),
+    ("hybrid", ["--p", "0.5"],
+     "499a78092dc55a0272cf43e79da21d00f3e05cf0636b2cf145e5c023006e56f2"),
+    ("er_directed", ["--density", "0.1"],
+     "09639bbb4d34db8fe675d486bf8b297108e2c6c632eb72c2993223c3f3b3e065"),
+])
+def test_generate_stdout_bytes(model, extra, digest):
+    assert stdout_digest(["generate", "--model", model, "--n", "50", "--m", "3",
+                          "--seed", "4"] + extra) == digest
+
+
+@pytest.mark.parametrize("formula, digest", [
+    ("exact", "4aa572c4813440070584129838c571df7a527caaf6f75ddba603c0ef47909096"),
+    ("merit-approx", "f1a94798c03a9eec43fe7b744a84f2ea5ee167e84629df210a4a7ed2f372c243"),
+])
+def test_theory_csv_bytes(formula, digest):
+    assert stdout_digest(["theory", "--formula", formula, "--n", "300", "--m", "4"]) == digest
