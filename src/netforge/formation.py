@@ -119,9 +119,9 @@ def generate_meritocracy(config: FormationConfig) -> DirectedGraph:
     """Quality-driven formation: a node follows a candidate only if it beats
     every current followee; stops at the best node or at m_cap followees.
 
-    Samples each node's record sequence directly; the literal uniform-pair
-    event process (`generate_hybrid` at p = 1) has the same equilibrium
-    distribution.
+    Samples each node's record sequence directly; the literal event process
+    (uniform active node, uniform candidate) has the same final-graph
+    distribution, so `generate_hybrid` runs this sampler at p = 1.
     """
     mat = merit_followee_matrix(config.n, config.m_cap, np.random.default_rng(config.seed))
     rows, cols = np.nonzero(mat)
@@ -242,8 +242,8 @@ def generate_matthew(config: FormationConfig) -> DirectedGraph:
 
 
 def _event_loop(n: int, m: int, p: float, seed: int) -> DirectedGraph:
-    """The hybrid process at p > 0, run as its jump chain: every drawn event
-    adds an edge.
+    """The hybrid process at 0 < p < 1, run as its jump chain: every drawn
+    event adds an edge.
 
     The process it samples: each event picks an active node i (out-degree < m)
     uniformly, then with probability p attempts one meritocracy step (uniform
@@ -262,8 +262,8 @@ def _event_loop(n: int, m: int, p: float, seed: int) -> DirectedGraph:
     Fenwick tree over node ids. The merit candidate is then uniform over i's
     better set (a merit candidate x indexes the other nodes in id order), so
     the step always succeeds. A node's tree entry changes only when its
-    `better[i]` drops or it reaches m followees (weight 0). The loop ends when
-    W is 0: every node is full or, at p = 1, at meritocracy equilibrium.
+    `better[i]` drops or it reaches m followees (weight 0). As p < 1, W > 0
+    while any node is active, so the loop ends when every node is full.
 
     Weighted target sampling uses a repeated-endpoint pool (one entry per unit
     of weight), giving O(1) draws with exact proportionality. A full node is
@@ -288,10 +288,7 @@ def _event_loop(n: int, m: int, p: float, seed: int) -> DirectedGraph:
         j = 0                               # no merit candidate: a Matthew step draws j
         live = len(active)
         a = matthew_w * live
-        w = a + merit_w * total
-        if not w:
-            break                           # p = 1, every active node at equilibrium
-        x = u() * w
+        x = u() * (a + merit_w * total)
         if x < a:
             k = int(x / matthew_w)
             i = active[k if k < live else live - 1]     # float rounding
@@ -341,11 +338,13 @@ def generate_hybrid(config: FormationConfig) -> DirectedGraph:
     """Per-event probabilistic mixture: meritocracy step with probability p,
     Matthew step with 1-p, sampled as its jump chain (every drawn event adds
     an edge, so a run draws at most n * m_cap events at any p).
-    p = 0 is the Matthew model and runs its sampler (same graph as
-    `generate_matthew` for the same seed); p = 1 is the meritocracy event
-    process, distributed as `generate_meritocracy`."""
+    The endpoints run their own models' samplers, so for the same seed p = 0
+    gives the graph of `generate_matthew` and p = 1 that of
+    `generate_meritocracy`."""
     if config.p == 0:
         return _capped_pa(int(config.n), int(config.m_cap), config.seed)
+    if config.p == 1:
+        return generate_meritocracy(config)
     return _event_loop(config.n, config.m_cap, float(config.p), config.seed)
 
 

@@ -11,7 +11,6 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from .graph import DirectedGraph
 
@@ -25,10 +24,12 @@ class InsufficientDataError(ValueError):
     """Too few (or degenerate) tail observations for a power-law fit."""
 
 
-def adjacency_csr(g: DirectedGraph) -> csr_matrix:
-    """0-based adjacency matrix; entry (i-1, j-1) is 1.0 for each edge (i, j)."""
-    return csr_matrix((np.ones(g.edge_count), g.indices - 1, g.indptr),
-                      shape=(g.n, g.n))
+def adjacency_csr(g: DirectedGraph) -> tuple[np.ndarray, np.ndarray]:
+    """The symmetrized weights b = a + a^T of g, 0-based, as (keys, weights):
+    the keys i*n + j of b's nonzero entries in ascending (row-major CSR) order,
+    and each entry's weight b_ij, 1 for a one-way link and 2 for a mutual pair."""
+    n, src, dst = g.n, g._sources() - 1, g.indices - 1
+    return np.unique(np.concatenate((src * n + dst, dst * n + src)), return_counts=True)
 
 
 def degree_distribution(indegrees) -> tuple[dict[int, int], list[tuple[int, float]]]:
@@ -166,17 +167,14 @@ def clustering(g: DirectedGraph) -> tuple[np.ndarray, float]:
     A one-hash table of b's entries (a Bloom filter) drops most open wedges
     before the exact lookup in b's sorted entries. The sums are of small
     integers, hence exact."""
-    a = adjacency_csr(g)
-    b = (a + a.T).tocsr()
-    s = np.asarray(b.sum(axis=1)).ravel()
-    b.sort_indices()
-    n, deg = g.n, np.diff(b.indptr)
-    u = np.repeat(np.arange(n), deg)
-    v, w = b.indices.astype(np.int64), b.data
-    keys = u * n + v                                    # sorted, as b is
+    n = g.n
+    keys, w = adjacency_csr(g)
+    u, v = np.divmod(keys, n)
+    deg = np.bincount(u, minlength=n)
+    s = np.bincount(u, w, minlength=n)
     rank = np.empty(n, dtype=np.int64)
     rank[np.argsort(deg, kind="stable")] = np.arange(n)
-    fwd = np.repeat(rank, deg) < rank[v]
+    fwd = rank[u] < rank[v]
     fu, fv, fw = u[fwd], v[fwd], w[fwd]                 # out-lists, each ascending
     # wedges: every pair of positions p < q within one out-list, taken in
     # slices of about _WEDGE_SLICE
@@ -204,7 +202,7 @@ def clustering(g: DirectedGraph) -> tuple[np.ndarray, float]:
         closed += np.bincount(np.concatenate((fu[p], fv[p], fv[q])), np.tile(t, 3), n)
         lo = hi
     denom = s * (s - 1.0)
-    c = np.divide(closed, denom, out=np.zeros(g.n), where=denom > 0)
+    c = np.divide(closed, denom, out=np.zeros(n), where=denom > 0)
     return c, float(c.mean())
 
 

@@ -1,4 +1,7 @@
 import dataclasses
+import os
+import subprocess
+import sys
 from collections import Counter, deque
 
 import networkx as nx
@@ -6,8 +9,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
+import netforge
 from netforge import (DirectedGraph, FormationConfig, InsufficientDataError,
                       clustering, compute_report, degree_distribution,
                       fit_power_law, generate, gini, matched_er_density,
@@ -211,9 +216,15 @@ class TestPathStats:
         assert tuple(path_stats(g)) == (max(lengths), sum(lengths) / len(lengths))
 
 
+def scipy_adjacency(g):
+    """g's 0-based adjacency as a scipy matrix: entry (i-1, j-1) is 1.0 for
+    each edge (i, j)."""
+    return csr_matrix((np.ones(g.edge_count), g.indices - 1, g.indptr), shape=(g.n, g.n))
+
+
 def dijkstra_path_stats(g, chunk=1024):
     """The all-source Dijkstra loop path_stats used before multi-source BFS."""
-    adj = metrics.adjacency_csr(g)
+    adj = scipy_adjacency(g)
     n = g.n
     diameter = 0
     total = 0.0
@@ -234,13 +245,79 @@ def dijkstra_path_stats(g, chunk=1024):
 def spgemm_clustering(g):
     """The sparse-product form clustering used before triangle enumeration:
     closed_i = 1/2 · row sum of b * (b @ b)."""
-    a = metrics.adjacency_csr(g)
+    a = scipy_adjacency(g)
     b = (a + a.T).tocsr()
     s = np.asarray(b.sum(axis=1)).ravel()
     closed = 0.5 * np.asarray(b.multiply(b @ b).sum(axis=1)).ravel()
     denom = s * (s - 1.0)
     c = np.divide(closed, denom, out=np.zeros(g.n), where=denom > 0)
     return c, float(c.mean())
+
+
+_GRAPHS = st.integers(2, 10).flatmap(lambda n: st.tuples(
+    st.just(n), st.sets(st.tuples(st.integers(1, n), st.integers(1, n))
+                        .filter(lambda e: e[0] != e[1])), st.sets(st.integers(0, 90))))
+
+
+def check_symmetrization(g):
+    """adjacency_csr(g), its row degrees and its row sums s equal the scipy
+    form (a + a^T).tocsr()."""
+    n = g.n
+    keys, w = metrics.adjacency_csr(g)
+    a = scipy_adjacency(g)
+    b = (a + a.T).tocsr()
+    b.sort_indices()
+    deg = np.diff(b.indptr)
+    assert np.array_equal(keys, np.repeat(np.arange(n), deg) * n + b.indices)
+    assert np.array_equal(w, b.data)
+    u = keys // n
+    assert np.array_equal(np.bincount(u, minlength=n), deg)
+    assert np.array_equal(np.bincount(u, w, minlength=n), np.asarray(b.sum(axis=1)).ravel())
+
+
+class TestAdjacency:
+    @settings(max_examples=200, deadline=None)
+    @given(_GRAPHS)
+    @example((2, set(), set()))                     # no edges
+    @example((6, {(1, 2), (2, 3), (3, 1)}, {0, 1, 2}))  # all mutual; 4, 5, 6 isolated
+    def test_matches_scipy_symmetrization(self, case):
+        # the chosen positions of the sorted edge set are also linked back,
+        # so many graphs mix one-way links and mutual pairs
+        n, edges, back = case
+        edges = sorted(edges)
+        check_symmetrization(graph(n, sorted(
+            set(edges) | {(j, i) for k, (i, j) in enumerate(edges) if k in back})))
+
+    @pytest.mark.parametrize("model,extra", [
+        ("meritocracy", {}), ("matthew", {}), ("hybrid", {"p": 0.5}),
+        ("er_directed", {"density": matched_er_density(2000, 5)})])
+    def test_matches_scipy_on_models(self, model, extra):
+        check_symmetrization(generate(FormationConfig(model, n=2000, m_cap=5, seed=1,
+                                                      **extra)))
+
+
+def test_runtime_does_not_import_scipy(tmp_path):
+    # scipy is a test dependency only: importing the package, computing a
+    # report and running `netforge metrics` must not load it
+    edges = tmp_path / "edges.csv"
+    edges.write_text(graph(4, [(1, 2), (2, 1), (2, 3), (3, 4)]).to_edge_list())
+    script = f"""
+import contextlib, io, sys
+import netforge
+from netforge import cli
+netforge.compute_report(netforge.generate(netforge.FormationConfig(
+    "hybrid", n=30, m_cap=2, p=0.5, seed=1)), with_paths=True)
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["metrics", "--in", {str(edges)!r}]) == 0
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    src = os.path.dirname(os.path.dirname(netforge.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"
 
 
 class TestClustering:
