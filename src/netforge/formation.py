@@ -74,6 +74,14 @@ def _uniforms(rng: np.random.Generator):
 # -- meritocracy -------------------------------------------------------------
 
 
+def _beating(rng: np.random.Generator, ids: np.ndarray, cur: np.ndarray) -> np.ndarray:
+    """For each node ids[k], one draw uniform over the other nodes that beat
+    (have a lower id than) cur[k]; at least one must."""
+    below = ids < cur
+    draw = rng.integers(1, cur - below)     # cur - 1 - below candidates
+    return draw + (below & (draw >= ids))   # skip self
+
+
 def merit_followee_matrix(n: int, m_cap: int, rng: np.random.Generator,
                           copies: int = 1) -> np.ndarray:
     """Sample followee sets for `copies` independent populations of n nodes.
@@ -102,17 +110,19 @@ def merit_followee_matrix(n: int, m_cap: int, rng: np.random.Generator,
     for k in range(1, m_cap):
         if not active.any():
             break
-        idx = ids[active]
-        cur = r[active]
-        size = cur - 1 - (idx < cur)        # candidates strictly better than cur
-        draw = rng.integers(1, size + 1)
-        draw = draw + ((idx < cur) & (draw >= idx))
+        draw = _beating(rng, ids[active], r[active])
         r[active] = draw
         out[active, k] = draw
         nxt = active.copy()
         nxt[active] = draw != best[active]
         active = nxt
     return out
+
+
+def _meritocracy(n: int, m: int, seed: int) -> DirectedGraph:
+    mat = merit_followee_matrix(n, m, np.random.default_rng(seed))
+    rows, cols = np.nonzero(mat)
+    return DirectedGraph._from_out_adj(n, rows + 1, mat[rows, cols])
 
 
 def generate_meritocracy(config: FormationConfig) -> DirectedGraph:
@@ -123,9 +133,7 @@ def generate_meritocracy(config: FormationConfig) -> DirectedGraph:
     (uniform active node, uniform candidate) has the same final-graph
     distribution, so `generate_hybrid` runs this sampler at p = 1.
     """
-    mat = merit_followee_matrix(config.n, config.m_cap, np.random.default_rng(config.seed))
-    rows, cols = np.nonzero(mat)
-    return DirectedGraph._from_out_adj(config.n, rows + 1, mat[rows, cols])
+    return _meritocracy(config.n, config.m_cap, config.seed)
 
 
 # -- Matthew effect: capped preferential attachment -------------------------
@@ -238,114 +246,85 @@ def generate_matthew(config: FormationConfig) -> DirectedGraph:
     return _capped_pa(int(config.n), int(config.m_cap), config.seed)
 
 
-# -- hybrid: the event loop --------------------------------------------------
+# -- hybrid: per-node attempt clocks ----------------------------------------
 
 
-def _event_loop(n: int, m: int, p: float, seed: int) -> DirectedGraph:
-    """The hybrid process at 0 < p < 1, run as its jump chain: every drawn
-    event adds an edge.
+def _hybrid(n: int, m: int, p: float, seed: int) -> DirectedGraph:
+    """The hybrid process at 0 < p < 1: each event picks an active node i
+    (out-degree < m) uniformly, then with probability p attempts one
+    meritocracy step (uniform candidate among the other n - 1 nodes, accepted
+    only if it beats all current followees) and otherwise performs one Matthew
+    draw: target weight in-degree + 1 (the virtual self-link), illegal targets
+    (self, already-followed) rejected and redrawn.
 
-    The process it samples: each event picks an active node i (out-degree < m)
-    uniformly, then with probability p attempts one meritocracy step (uniform
-    candidate among the other n - 1 nodes, accepted only if it beats all current
-    followees) and otherwise performs one Matthew draw: capped preferential
-    attachment with target weight in-degree + 1 (the virtual self-link), illegal
-    targets (self, already-followed) rejected and redrawn.
-
-    Node i's merit state `better[i]` counts the other nodes that beat its best
-    followee, so i adds an edge with weight (1 - p) + p * better[i] / (n - 1).
-    The loop simulates only those events (the n-fold way of Bortz, Kalos &
-    Lebowitz 1975; Gillespie 1977): one uniform over the total weight
-    W = (1 - p) * len(active) + p * B / (n - 1), with B the sum of `better`
-    over active nodes, picks either a Matthew step of a uniform active node or
-    a merit step of a node drawn in proportion to `better[i]` by descent in a
-    Fenwick tree over node ids. The merit candidate is then uniform over i's
-    better set (a merit candidate x indexes the other nodes in id order), so
-    the step always succeeds. A node's tree entry changes only when its
-    `better[i]` drops or it reaches m followees (weight 0). As p < 1, W > 0
-    while any node is active, so the loop ends when every node is full.
-
-    Weighted target sampling uses a repeated-endpoint pool (one entry per unit
-    of weight), giving O(1) draws with exact proportionality. A full node is
-    swap-removed at its index in the active list.
+    Sampled from per-node attempt clocks: every node attempts at rate 1 while
+    active, so the next attempt is always a uniform active node's, and the
+    clocks can be drawn up front and replayed in time order.
+    - A node's Matthew attempts are a Poisson(1 - p) stream. Each adds an edge,
+      so the node is full by its m-th, and only m are drawn.
+    - Its merit attempts are a Poisson(p) stream of uniform candidates, and
+      only the stream's records can succeed: a candidate that does not beat an
+      earlier candidate c loses either to c, then a followee, or to the
+      followee that beat c (or finds the node full).
+      Records follow `merit_followee_matrix`'s law (the next is uniform over
+      the nodes that beat the current one), with Exp(p * better / (n - 1))
+      gaps, where `better` counts those nodes. A node's records are drawn
+      until its m-th Matthew time or until no node beats its record.
+    The replay skips attempts of full nodes; a record succeeds iff it beats
+    the node's best followee, and a Matthew attempt draws from a pool of one
+    virtual self-link per node plus every earlier target.
     """
-    n = int(n)                              # a numpy integer n would slow every step
+    rng = np.random.default_rng(seed)
+    clocks = np.cumsum(rng.exponential(1 / (1 - p), (n, m)), axis=1)
+    ids = np.arange(1, n + 1)
+    nodes, times, targets = [ids.repeat(m)], [clocks.ravel()], [np.zeros(n * m, np.int64)]
+    cur = np.full(n, n + 1)                 # no record yet: every other node beats it
+    t = np.zeros(n)
+    end = clocks[:, -1]
+    while ids.size:
+        rate = p * (cur - 1 - (ids < cur))  # (n - 1) times the rate of records
+        gap = rng.standard_exponential(ids.size) * (n - 1)
+        # compared, not divided, so a tiny p cannot overflow; rate 0 never keeps
+        keep = gap < (end - t) * rate
+        ids, cur, end = ids[keep], cur[keep], end[keep]
+        t = t[keep] + gap[keep] / rate[keep]
+        cur = _beating(rng, ids, cur)
+        nodes.append(ids)
+        times.append(t)
+        targets.append(cur)
+    order = np.argsort(np.concatenate(times), kind="stable")
     followees: list[set[int]] = [set() for _ in range(n + 1)]    # by node id; 0 unused
+    best = [n + 1] * (n + 1)                # each node's best followee
     src: list[int] = []                     # edges in creation order
     pool = list(range(1, n + 1))            # virtual self-links, then edge targets
-    active = list(range(1, n + 1))
-    where = list(range(-1, n))              # where[i]: index of node i in active
-    u = _uniforms(np.random.default_rng(seed)).__next__
-    matthew_w = 1.0 - p                     # weight of an active node's Matthew step
-    merit_w = p / (n - 1)                   # weight of each node that beats i's best
-    better = [n - 1] * (n + 1)              # no followee yet: every other node beats it
-    size = 1 << n.bit_length()              # Fenwick tree over ids 1..n, zero-padded
-    steps = [size >> b for b in range(1, n.bit_length() + 1)]    # descent strides
-    ids = np.arange(size + 1)               # tree[t] sums the ids in (t - lowbit(t), t]
-    tree = ((n - 1) * np.clip(np.minimum(ids, n) - (ids - (ids & -ids)), 0, None)).tolist()
-    total = (n - 1) * n                     # B: sum of better over active nodes
-    while active:
-        j = 0                               # no merit candidate: a Matthew step draws j
-        live = len(active)
-        a = matthew_w * live
-        x = u() * (a + merit_w * total)
-        if x < a:
-            k = int(x / matthew_w)
-            i = active[k if k < live else live - 1]     # float rounding
-        else:
-            y = int((x - a) / merit_w)
-            if y >= total:
-                y = total - 1
-            i = 0                           # descend to the node holding rank y
-            for step in steps:
-                t = tree[i + step]
-                if t <= y:
-                    i += step
-                    y -= t
-            i += 1
-            j = int(u() * better[i]) + 1
-            if j >= i:
-                j += 1
+    u = _uniforms(rng).__next__
+    for i, j in zip(np.concatenate(nodes)[order].tolist(),
+                    np.concatenate(targets)[order].tolist()):
         mine = followees[i]
-        if not j:
-            while True:
+        if len(mine) == m or j >= best[i]:  # full, or a record that loses
+            continue
+        if not j:                           # a Matthew attempt
+            j = i
+            while j == i or j in mine:
                 j = pool[int(u() * len(pool))]
-                if j != i and j not in mine:
-                    break
         src.append(i)
         mine.add(j)
         pool.append(j)
-        # a full node's weight drops to 0; otherwise c counts the nodes that beat j
-        c = 0 if len(mine) == m else (j - 2 if j > i else j - 1)
-        d = better[i] - c
-        if d > 0:
-            better[i] = c
-            total -= d
-            t = i
-            while t < size:                 # the root, tree[size], is never read
-                tree[t] -= d
-                t += t & -t
-        if len(mine) == m:
-            k = where[i]
-            last = active.pop()
-            if last != i:
-                active[k] = last
-                where[last] = k
+        if j < best[i]:
+            best[i] = j
     return DirectedGraph._from_out_adj(n, src, pool[n:])
 
 
 def generate_hybrid(config: FormationConfig) -> DirectedGraph:
     """Per-event probabilistic mixture: meritocracy step with probability p,
-    Matthew step with 1-p, sampled as its jump chain (every drawn event adds
-    an edge, so a run draws at most n * m_cap events at any p).
-    The endpoints run their own models' samplers, so for the same seed p = 0
-    gives the graph of `generate_matthew` and p = 1 that of
-    `generate_meritocracy`."""
+    Matthew step with 1-p; see `_hybrid`. The endpoints run their own models'
+    samplers, so for the same seed p = 0 gives the graph of `generate_matthew`
+    and p = 1 that of `generate_meritocracy`."""
     if config.p == 0:
         return _capped_pa(int(config.n), int(config.m_cap), config.seed)
     if config.p == 1:
-        return generate_meritocracy(config)
-    return _event_loop(config.n, config.m_cap, float(config.p), config.seed)
+        return _meritocracy(config.n, config.m_cap, config.seed)
+    return _hybrid(int(config.n), int(config.m_cap), float(config.p), config.seed)
 
 
 # -- directed Erdos-Renyi ----------------------------------------------------

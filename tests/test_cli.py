@@ -72,7 +72,7 @@ class TestGenerate:
         assert code == 1 and out == "" and err == message
 
     def test_hybrid_p_just_below_1_finishes(self, capsys, time_limit):
-        # nodes at merit equilibrium still fire, with weight 1 - p, one draw each
+        # nodes at merit equilibrium still fill through their Matthew attempts
         with time_limit(1):
             code, out, err = run(capsys, "generate", "--model", "hybrid", "--n", "3",
                                  "--m", "2", "--seed", "0", "--p", "0.9999999999999999")

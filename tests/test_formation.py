@@ -52,6 +52,96 @@ def reference_matthew(n, m, seed):
     return DirectedGraph._from_out_adj(n, src, pool[n:])
 
 
+def reference_hybrid(n, m, p, seed):
+    """The hybrid process at 0 < p < 1 run as its jump chain, kept only as a
+    reference for the attempt-clock sampler behind `generate_hybrid`. Node i's
+    merit state `better[i]` counts the other nodes that beat its best followee,
+    so i adds an edge with weight (1 - p) + p * better[i] / (n - 1). Only those
+    events are simulated (the n-fold way of Bortz, Kalos & Lebowitz 1975): one
+    uniform over the total weight picks either a Matthew step of a uniform
+    active node or a merit step of a node drawn in proportion to `better[i]`
+    by descent in a Fenwick tree over node ids; the merit candidate is then
+    uniform over i's better set, so every drawn event adds an edge."""
+    followees = [set() for _ in range(n + 1)]
+    src = []
+    pool = list(range(1, n + 1))
+    active = list(range(1, n + 1))
+    where = list(range(-1, n))              # where[i]: index of node i in active
+    u = _uniforms(np.random.default_rng(seed)).__next__
+    matthew_w = 1.0 - p
+    merit_w = p / (n - 1)
+    better = [n - 1] * (n + 1)
+    size = 1 << n.bit_length()              # Fenwick tree over ids 1..n, zero-padded
+    steps = [size >> b for b in range(1, n.bit_length() + 1)]
+    ids = np.arange(size + 1)               # tree[t] sums the ids in (t - lowbit(t), t]
+    tree = ((n - 1) * np.clip(np.minimum(ids, n) - (ids - (ids & -ids)), 0, None)).tolist()
+    total = (n - 1) * n                     # sum of better over active nodes
+    while active:
+        j = 0
+        live = len(active)
+        a = matthew_w * live
+        x = u() * (a + merit_w * total)
+        if x < a:
+            k = int(x / matthew_w)
+            i = active[k if k < live else live - 1]     # float rounding
+        else:
+            y = min(int((x - a) / merit_w), total - 1)
+            i = 0                           # descend to the node holding rank y
+            for step in steps:
+                t = tree[i + step]
+                if t <= y:
+                    i += step
+                    y -= t
+            i += 1
+            j = int(u() * better[i]) + 1
+            if j >= i:
+                j += 1
+        mine = followees[i]
+        if not j:
+            while True:
+                j = pool[int(u() * len(pool))]
+                if j != i and j not in mine:
+                    break
+        src.append(i)
+        mine.add(j)
+        pool.append(j)
+        c = 0 if len(mine) == m else (j - 2 if j > i else j - 1)
+        d = better[i] - c
+        if d > 0:
+            better[i] = c
+            total -= d
+            t = i
+            while t < size:
+                tree[t] -= d
+                t += t & -t
+        if len(mine) == m:
+            k = where[i]
+            last = active.pop()
+            if last != i:
+                active[k] = last
+                where[last] = k
+    return DirectedGraph._from_out_adj(n, src, pool[n:])
+
+
+def welch_z(new, old):
+    """Per-feature Welch z of two samples of iid feature rows (equal counts);
+    a feature constant on both sides must agree exactly and scores 0."""
+    var = new.var(axis=0, ddof=1) + old.var(axis=0, ddof=1)
+    gap = np.abs(new.mean(axis=0) - old.mean(axis=0))
+    assert np.all(gap[var == 0] == 0)
+    return np.divide(gap * np.sqrt(len(new)), np.sqrt(var), out=np.zeros_like(gap),
+                     where=var > 0)
+
+
+def rank_features(d, edges):
+    """The fraction of nodes at in-degree 0..19 and >= 20 (the pooled histogram
+    is their mean over runs) and the mean in-degree over the rank bins `edges`
+    (the binned mean rank curve)."""
+    hist = np.bincount(np.minimum(d, 20), minlength=21) / len(d)
+    ranked = np.sort(d)[::-1]
+    return np.concatenate((hist, np.add.reduceat(ranked, edges[:-1] - 1) / np.diff(edges)))
+
+
 class TestConfig:
     def test_unknown_model(self):
         with pytest.raises(ConfigError):
@@ -83,11 +173,13 @@ class TestConfig:
             cfg(**{**base, key: value})
 
     def test_hybrid_near_p1_finishes(self, time_limit):
-        # a node at merit equilibrium fires with weight 1 - p and costs one draw,
-        # so p just below 1 finishes with every node full
+        # every node fills by its m-th Matthew attempt, so p just below 1 or just
+        # above 0 finishes with every node full; a tiny p leaves no merit record,
+        # and no division may overflow (RuntimeWarnings are errors)
         with time_limit(30):
             for n, m, p in [(3, 2, 1 - 2.0 ** -53), (10_000, 5, 0.99999),
-                            (10_000, 5, 0.9999), (3, 2, 0.999)]:
+                            (10_000, 5, 0.9999), (3, 2, 0.999), (10_000, 5, 5e-324),
+                            (10_000, 5, 1e-300), (3, 2, 2.0 ** -52)]:
                 g = generate(cfg(model="hybrid", n=n, m_cap=m, p=p))
                 assert g.edge_count == n * m
                 assert np.all(np.diff(g.indptr) == m)
@@ -157,31 +249,16 @@ class TestMatthew:
     def test_matches_reference_loop(self):
         # Two-sample test against the per-edge loop, 200 runs each on disjoint
         # seeds at n = 1000, M = 5. Runs are iid, so each run contributes one
-        # vector of features: the fraction of nodes at in-degree 0..19 and >= 20
-        # (the pooled histogram is their mean) and the mean in-degree over 26
-        # log-spaced rank bins (the binned mean rank curve). Every feature's
-        # Welch z must stay below 4.5: two-sided 7e-6 per feature, under 4e-4
-        # for all 47 together.
+        # vector of `rank_features` over 26 log-spaced rank bins. Every
+        # feature's Welch z must stay below 4.5: two-sided 7e-6 per feature,
+        # under 4e-4 for all 47 together.
         n, m, runs = 1000, 5, 200
         edges = np.unique(np.geomspace(1, n + 1, 31).astype(int))
-
-        def features(g):
-            d = g.in_degree
-            hist = np.bincount(np.minimum(d, 20), minlength=21) / n
-            ranked = np.sort(d)[::-1]
-            curve = np.add.reduceat(ranked, edges[:-1] - 1) / np.diff(edges)
-            return np.concatenate((hist, curve))
-
-        new = np.array([features(generate_matthew(cfg(model="matthew", n=n, m_cap=m,
-                                                      seed=r)))
+        new = np.array([rank_features(generate_matthew(cfg(
+            model="matthew", n=n, m_cap=m, seed=r)).in_degree, edges) for r in range(runs)])
+        old = np.array([rank_features(reference_matthew(n, m, runs + r).in_degree, edges)
                         for r in range(runs)])
-        old = np.array([features(reference_matthew(n, m, runs + r)) for r in range(runs)])
-        var = new.var(axis=0, ddof=1) + old.var(axis=0, ddof=1)
-        gap = np.abs(new.mean(axis=0) - old.mean(axis=0))
-        z = np.divide(gap * np.sqrt(runs), np.sqrt(var), out=np.zeros_like(gap),
-                      where=var > 0)
-        assert np.all(gap[var == 0] == 0)
-        assert z.max() < 4.5
+        assert welch_z(new, old).max() < 4.5
 
     @pytest.mark.parametrize("n,m", [(3, 2), (2, 3)])
     def test_firing_order_law(self, n, m):
@@ -237,6 +314,26 @@ class TestHybrid:
                     h = generate_hybrid(cfg(model="hybrid", p=p, **base))
                     assert h.to_edge_list() == generate(cfg(model=model, **base)).to_edge_list()
 
+    @pytest.mark.parametrize("p", [0.25, 0.75])
+    def test_matches_reference_loop(self, p):
+        # Two-sample test against the jump-chain loop, as for matthew: 200 runs
+        # each on disjoint seeds at n = 1000, M = 5, Welch z < 4.5 on the 47
+        # `rank_features` plus the mean in-degree of the same 26 bins taken
+        # over node ids (quality ranks), which the merit half depends on:
+        # under 6e-4 for all 73 together.
+        n, m, runs = 1000, 5, 200
+        edges = np.unique(np.geomspace(1, n + 1, 31).astype(int))
+
+        def features(g):
+            d = g.in_degree
+            by_id = np.add.reduceat(d, edges[:-1] - 1) / np.diff(edges)
+            return np.concatenate((rank_features(d, edges), by_id))
+
+        new = np.array([features(generate_hybrid(cfg(model="hybrid", n=n, m_cap=m, p=p,
+                                                      seed=r))) for r in range(runs)])
+        old = np.array([features(reference_hybrid(n, m, p, runs + r)) for r in range(runs)])
+        assert welch_z(new, old).max() < 4.5
+
     def test_all_invariants_mid_p(self):
         g = generate_hybrid(cfg(model="hybrid", n=100, m_cap=4, p=0.6, seed=7))
         g.check_invariants()
@@ -287,7 +384,7 @@ def jump_chain_oracle(n, m, p):
 
 class TestJumpChainOracle:
     @pytest.mark.parametrize("n,m", [(3, 1), (3, 2), (4, 1), (4, 2)])
-    @pytest.mark.parametrize("p", [0.0, 0.25, 0.5, 0.9, 1.0])
+    @pytest.mark.parametrize("p", [0.0, 0.25, 0.5, 0.75, 0.9, 1.0])
     def test_final_graph_distribution(self, n, m, p):
         # chi-square of 2000 seeded runs against the exact final-graph law;
         # cells expected below 5 are pooled into one
@@ -307,19 +404,22 @@ class TestJumpChainOracle:
         if len(observed) > 1:
             assert chisquare(observed, expected).pvalue > 1e-3
 
-    def test_matthew_indegree_profile(self):
+    @pytest.mark.parametrize("p", [0.0, 0.5])
+    def test_matthew_indegree_profile(self, p):
         # The Matthew sampler redraws a rejected step and hands the new target
-        # to every step that copied it. The sorted in-degree vector has 6
-        # values at n = 5, M = 1, so 4000 runs resolve what the 2000-run
-        # edge-set tests above cannot: a sampler that skips the hand-off gave
-        # chi-square p of 1e-5 to 1e-9 here. Threshold as above.
+        # to every step that copied it; at mid p the hybrid sampler's Matthew
+        # draws also pick merit targets from the pool. The sorted in-degree
+        # vector has 6 values at n = 5, M = 1, so 4000 runs resolve what the
+        # 2000-run edge-set tests above cannot: a Matthew sampler that skips
+        # the hand-off gave chi-square p of 1e-5 to 1e-9 here. Threshold as above.
         n, m, runs = 5, 1, 4000
         law = defaultdict(float)
-        for state, prob in jump_chain_oracle(n, m, 0.0).items():
+        for state, prob in jump_chain_oracle(n, m, p).items():
             indeg = Counter(j for f in state for j in f)
             law[tuple(sorted(indeg[k] for k in range(1, n + 1)))] += prob
-        seen = Counter(tuple(sorted(generate_matthew(cfg(
-            model="matthew", n=n, m_cap=m, seed=r)).in_degree.tolist())) for r in range(runs))
+        seen = Counter(tuple(sorted(generate_hybrid(cfg(
+            model="hybrid", n=n, m_cap=m, p=p, seed=r)).in_degree.tolist()))
+            for r in range(runs))
         assert set(seen) <= set(law)
         cells = sorted(law)
         assert min(law.values()) * runs >= 5

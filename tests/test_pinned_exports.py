@@ -4,7 +4,9 @@ same way on every run (and so passes the two-run byte-identity tests) fails here
 The digests were recorded before MetricsReport kept its in-degree vector in
 place of the histogram dict; the two that hash matthew output were re-recorded
 when the Matthew sampler's RNG stream changed (the loop it replaced is kept in
-test_formation.py as the reference of a two-sample test). A deliberate change
+test_formation.py as the reference of a two-sample test), and the two that
+hash hybrid output at 0 < p < 1 when the hybrid sampler's stream changed (its
+jump-chain loop is kept there the same way). A deliberate change
 to an export format updates them together with the format. The empirical
 digests were recorded before the follower-CSV parser read regular lines in
 bulk, and the generate and theory digests before the CSV and edge-list
@@ -52,7 +54,7 @@ def test_export_sweep_bytes(tmp_path):
                           sweep=[0.25, 0.75])
     export_sweep(hybrid_sweep(spec), str(tmp_path))
     assert tree_digest(tmp_path) == (
-        "1b39f1c4e21f1ff0fb9aac47ae30bab7d172c49f429513a21d083899324aaa6d")
+        "b6252b32473ed4d4920fe7ecf59cce396da537e1c2ee296fdd437b488fb812e3")
 
 
 def test_metrics_full_stdout_bytes(tmp_path):
@@ -96,7 +98,7 @@ def stdout_digest(argv) -> str:
     ("meritocracy", [], "bed8aec49f9d7b498a98d1f554f62f52cb33f7cd82ce4bae173cfe0edab93baa"),
     ("matthew", [], "149161d0a8f22edd49d4339416c4771b4a49a7bf1f3c223b8bef299612556bb0"),
     ("hybrid", ["--p", "0.5"],
-     "499a78092dc55a0272cf43e79da21d00f3e05cf0636b2cf145e5c023006e56f2"),
+     "89d2cf9b1030c4c15de293ea47cffe9ffb97e8574e95498ffea3069abcac249a"),
     ("er_directed", ["--density", "0.1"],
      "09639bbb4d34db8fe675d486bf8b297108e2c6c632eb72c2993223c3f3b3e065"),
 ])
