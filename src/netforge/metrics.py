@@ -24,12 +24,21 @@ class InsufficientDataError(ValueError):
     """Too few (or degenerate) tail observations for a power-law fit."""
 
 
-def adjacency_csr(g: DirectedGraph) -> tuple[np.ndarray, np.ndarray]:
-    """The symmetrized weights b = a + a^T of g, 0-based, as (keys, weights):
-    the keys i*n + j of b's nonzero entries in ascending (row-major CSR) order,
-    and each entry's weight b_ij, 1 for a one-way link and 2 for a mutual pair."""
+def adjacency_csr(g: DirectedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The symmetrized weights b = a + a^T of g, upper triangle only, with
+    nodes relabelled in degree order, as (rank, keys, weights).
+
+    rank[i] is node i's (0-based) place in the ascending order of
+    (s_i, i), s_i = in_i + out_i = sum_j b_ij. keys are the ascending keys
+    r*n + r' (r < r') of b's entries above the diagonal in the relabelled
+    graph, from one np.unique over g's edges; each entry's weight b_ij is 1
+    for a one-way link and 2 for a mutual pair."""
     n, src, dst = g.n, g._sources() - 1, g.indices - 1
-    return np.unique(np.concatenate((src * n + dst, dst * n + src)), return_counts=True)
+    rank = np.empty(n, dtype=np.int64)
+    rank[np.argsort(g.in_degree + np.diff(g.indptr), kind="stable")] = np.arange(n)
+    ra, rb = rank[src], rank[dst]
+    keys, w = np.unique(np.minimum(ra, rb) * n + np.maximum(ra, rb), return_counts=True)
+    return rank, keys, w
 
 
 def degree_distribution(indegrees) -> tuple[dict[int, int], list[tuple[int, float]]]:
@@ -160,22 +169,20 @@ def clustering(g: DirectedGraph) -> tuple[np.ndarray, float]:
     undirected triangle {i, j, k} at i twice, once per orientation: the
     numerator is the sum of w_ij w_jk w_ki over those triangles, w in {1, 2}.
     They are found by forward enumeration (Chiba & Nishizeki 1985; Schank &
-    Wagner 2005): each edge points from its end of lower (undirected degree,
-    id) rank to the other, each pair of one node's out-neighbours is a wedge,
-    and a wedge is a triangle when b links its two ends. A node has O(sqrt(E))
-    out-neighbours, so there are O(E^1.5) wedges, and b @ b is never formed.
-    A one-hash table of b's entries (a Bloom filter) drops most open wedges
-    before the exact lookup in b's sorted entries. The sums are of small
+    Wagner 2005) on adjacency_csr's upper triangle: each edge points from its
+    end of lower (s, id) rank to the other, so each relabelled row is an
+    out-list in ascending order, each pair of one node's out-neighbours is a
+    wedge, and a wedge is a triangle when its closing key, itself an upper
+    key, is one of b's. Any total order finds each triangle once. With d_i
+    the undirected degree, d_i <= s_i and sum(s) = 2E, so at most 2E/d_i
+    nodes outrank i and its out-degree is at most min(d_i, 2E/d_i) <=
+    sqrt(2E): there are O(E^1.5) wedges, and b @ b is never formed.
+    A one-hash table of the keys (a Bloom filter) drops most open wedges
+    before the exact lookup in the sorted keys. The sums are of small
     integers, hence exact."""
     n = g.n
-    keys, w = adjacency_csr(g)
-    u, v = np.divmod(keys, n)
-    deg = np.bincount(u, minlength=n)
-    s = np.bincount(u, w, minlength=n)
-    rank = np.empty(n, dtype=np.int64)
-    rank[np.argsort(deg, kind="stable")] = np.arange(n)
-    fwd = rank[u] < rank[v]
-    fu, fv, fw = u[fwd], v[fwd], w[fwd]                 # out-lists, each ascending
+    rank, keys, w = adjacency_csr(g)
+    fu, fv = np.divmod(keys, n)                         # out-lists, each ascending
     # wedges: every pair of positions p < q within one out-list, taken in
     # slices of about _WEDGE_SLICE
     out = np.bincount(fu, minlength=n)
@@ -198,11 +205,12 @@ def clustering(g: DirectedGraph) -> tuple[np.ndarray, float]:
         at = np.minimum(np.searchsorted(keys, wedge[maybe]), len(keys) - 1)
         hit = keys[at] == wedge[maybe]
         p, q, at = p[maybe[hit]], q[maybe[hit]], at[hit]
-        t = fw[p] * fw[q] * w[at]
+        t = w[p] * w[q] * w[at]
         closed += np.bincount(np.concatenate((fu[p], fv[p], fv[q])), np.tile(t, 3), n)
         lo = hi
+    s = g.in_degree + np.diff(g.indptr)
     denom = s * (s - 1.0)
-    c = np.divide(closed, denom, out=np.zeros(n), where=denom > 0)
+    c = np.divide(closed[rank], denom, out=np.zeros(n), where=denom > 0)
     return c, float(c.mean())
 
 

@@ -259,20 +259,37 @@ _GRAPHS = st.integers(2, 10).flatmap(lambda n: st.tuples(
                         .filter(lambda e: e[0] != e[1])), st.sets(st.integers(0, 90))))
 
 
+def mixed_edges(edges, back):
+    """The edges of a _GRAPHS case, with the ones at the chosen positions of
+    the sorted edge set also linked back, so many graphs mix one-way links
+    and mutual pairs; sorted."""
+    edges = sorted(edges)
+    return sorted(set(edges) | {(j, i) for k, (i, j) in enumerate(edges) if k in back})
+
+
 def check_symmetrization(g):
-    """adjacency_csr(g), its row degrees and its row sums s equal the scipy
-    form (a + a^T).tocsr()."""
+    """adjacency_csr(g) against the scipy form b = (a + a^T).tocsr(): rank is
+    the stable ascending order of (s_i, i) with s_i = b's row sum, and the
+    keys, strictly ascending and above the diagonal, map back through rank
+    and mirror to exactly b's entries, with b's weights."""
     n = g.n
-    keys, w = metrics.adjacency_csr(g)
+    rank, keys, w = metrics.adjacency_csr(g)
     a = scipy_adjacency(g)
     b = (a + a.T).tocsr()
     b.sort_indices()
-    deg = np.diff(b.indptr)
-    assert np.array_equal(keys, np.repeat(np.arange(n), deg) * n + b.indices)
-    assert np.array_equal(w, b.data)
-    u = keys // n
-    assert np.array_equal(np.bincount(u, minlength=n), deg)
-    assert np.array_equal(np.bincount(u, w, minlength=n), np.asarray(b.sum(axis=1)).ravel())
+    s = np.asarray(b.sum(axis=1)).ravel()
+    assert np.array_equal(s, indeg(g) + g.degrees_snapshot()[1])
+    order = np.lexsort((np.arange(n), s))
+    assert np.array_equal(rank[order], np.arange(n))
+    assert np.all(np.diff(keys) > 0)
+    r, r2 = np.divmod(keys, n)
+    assert np.all(r < r2)
+    i, j = order[r], order[r2]
+    rows, cols = np.concatenate((i, j)), np.concatenate((j, i))
+    by = np.lexsort((cols, rows))
+    assert np.array_equal(rows[by], np.repeat(np.arange(n), np.diff(b.indptr)))
+    assert np.array_equal(cols[by], b.indices)
+    assert np.array_equal(np.concatenate((w, w))[by], b.data)
 
 
 class TestAdjacency:
@@ -281,12 +298,8 @@ class TestAdjacency:
     @example((2, set(), set()))                     # no edges
     @example((6, {(1, 2), (2, 3), (3, 1)}, {0, 1, 2}))  # all mutual; 4, 5, 6 isolated
     def test_matches_scipy_symmetrization(self, case):
-        # the chosen positions of the sorted edge set are also linked back,
-        # so many graphs mix one-way links and mutual pairs
         n, edges, back = case
-        edges = sorted(edges)
-        check_symmetrization(graph(n, sorted(
-            set(edges) | {(j, i) for k, (i, j) in enumerate(edges) if k in back})))
+        check_symmetrization(graph(n, mixed_edges(edges, back)))
 
     @pytest.mark.parametrize("model,extra", [
         ("meritocracy", {}), ("matthew", {}), ("hybrid", {"p": 0.5}),
@@ -367,13 +380,38 @@ class TestClustering:
 
     def test_degree_ties(self):
         # a star on 1 whose leaves 2 and 3 link both ways, and a directed
-        # triangle on 8, 9, 10: nodes 2, 3, 8, 9, 10 share undirected degree 2
-        # and leaves 4..7 degree 1
+        # triangle on 8, 9, 10: nodes 2, 3, 8, 9, 10 share undirected degree 2,
+        # and the rank key s = in + out ties 2 with 3 (s = 3), 8, 9, 10 (s = 2)
+        # and leaves 4..7 (s = 1)
         g = graph(10, [(1, k) for k in range(2, 8)]
                   + [(2, 3), (3, 2), (8, 9), (9, 10), (10, 8)])
         per_node, _ = clustering(g)
         assert per_node.tolist() == [2 / 30, 2 / 6, 2 / 6, 0, 0, 0, 0, 1 / 2, 1 / 2, 1 / 2]
         assert np.array_equal(per_node, spgemm_clustering(g)[0])
+
+    def test_strength_ties_across_undirected_degree(self):
+        # 7 sits in one mutual pair (with 2), and 1, 3, 4, 5, 6 each have two
+        # one-way links (triangles 1-2-6 and 3-4-5): all six have s = 2, but
+        # 7 has undirected degree 1 and the rest 2. On (s, id) 7 ranks last of
+        # them, where (undirected degree, id) would rank it first.
+        g = graph(7, [(7, 2), (2, 7), (1, 2), (2, 6), (6, 1), (3, 4), (4, 5), (5, 3)])
+        assert metrics.adjacency_csr(g)[0].tolist() == [0, 6, 1, 2, 3, 4, 5]
+        per_node, mean = clustering(g)
+        assert per_node.tolist() == [1 / 2, 1 / 12, 1 / 2, 1 / 2, 1 / 2, 1 / 2, 0]
+        expected, expected_mean = spgemm_clustering(g)
+        assert np.array_equal(per_node, expected) and mean == expected_mean
+
+    @settings(max_examples=100, deadline=None)
+    @given(_GRAPHS, st.data())
+    def test_relabelling(self, case, data):
+        # node i of h is node perm[i] of g, so h's coefficients are g's read
+        # through perm, whatever order the ranks put either graph in
+        n, edges, back = case
+        edges = mixed_edges(edges, back)
+        perm = np.array(data.draw(st.permutations(range(n))))
+        new_id = np.argsort(perm) + 1
+        h = graph(n, sorted((int(new_id[i - 1]), int(new_id[j - 1])) for i, j in edges))
+        assert np.array_equal(clustering(h)[0], clustering(graph(n, edges))[0][perm])
 
     @pytest.mark.parametrize("model,extra", [
         ("meritocracy", {}), ("matthew", {}), ("hybrid", {"p": 0.5}),
