@@ -18,7 +18,7 @@ import numpy as np
 from . import __version__
 from .formation import (FormationConfig, generate, is_integer, is_real,
                         matched_er_density)
-from .lines import digit_runs, rows, scan_lines
+from .lines import digit_runs, rint_scaled, rows, scan_lines
 from .metrics import (DEFAULT_XMIN, MetricsReport, compute_report,
                       degree_distribution, gini, path_stats)
 from .plotting import loglog_svg
@@ -158,10 +158,22 @@ class ResultSet:
         return {
             "provenance": self.provenance,
             "scalar_stats": self.scalar_stats,
-            "per_node_mean_indegree": [round(float(v), 12)
-                                       for v in self.per_node_mean_indegree],
+            "per_node_mean_indegree": _round12(self.per_node_mean_indegree),
             "runs": [r.to_dict() for r in self.reports],
         }
+
+
+def _round12(values: np.ndarray) -> list[float]:
+    """[round(v, 12) for v in values.tolist()], bit for bit: round gives the
+    float nearest the decimal r / 10**12, where r is the integer nearest
+    v * 10**12. Where lines.rint_scaled proves r, r and 1e12 are exact
+    floats, so the division r / 1e12 rounds to that same float; any other
+    value goes through round."""
+    r, proven = rint_scaled(values, 1e12)
+    out = r / 1e12
+    other = np.flatnonzero(~proven)
+    out[other] = [round(v, 12) for v in values[other].tolist()]
+    return out.tolist()
 
 
 def run_batch(spec: ExperimentSpec) -> ResultSet:
@@ -354,8 +366,7 @@ def export_results(rs: ResultSet, out_dir: str) -> list[str]:
     os.makedirs(out_dir, exist_ok=True)
     curve = rs.mean_rank_curve
     ranks = np.arange(1, len(curve) + 1)
-    points = rs.pooled_ccdf
-    degrees, ccdf = (np.array(c) for c in zip(*points))
+    degrees, ccdf = (np.array(c) for c in zip(*rs.pooled_ccdf))
     written = [_write_json(os.path.join(out_dir, "metrics.json"), rs.to_dict()),
                _write_csv(os.path.join(out_dir, "rank_curve.csv"), "rank,mean_indegree",
                           ranks, curve),
@@ -364,10 +375,11 @@ def export_results(rs: ResultSet, out_dir: str) -> list[str]:
     if rs.spec.emit_plots:
         written += [
             _atomic_write(os.path.join(out_dir, "rank_curve.svg"),
-                          loglog_svg(list(enumerate(curve.tolist(), start=1)),
-                                     "Mean in-degree vs rank", "rank", "mean in-degree")),
+                          loglog_svg(ranks, curve, "Mean in-degree vs rank", "rank",
+                                     "mean in-degree")),
             _atomic_write(os.path.join(out_dir, "degree_ccdf.svg"),
-                          loglog_svg(points, "In-degree CCDF", "in-degree", "P[D >= d]"))]
+                          loglog_svg(degrees, ccdf, "In-degree CCDF", "in-degree",
+                                     "P[D >= d]"))]
     return written
 
 

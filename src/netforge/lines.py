@@ -9,8 +9,9 @@ a regular line both rules give the same value. The lines are the ones
 `str.splitlines` gives, numbered from 1.
 
 `rows` writes columns of numbers as CSV rows, byte for byte as Python's
-``%d`` and ``%.12g`` write them, with numpy digit tables; only a value whose
-rounding its float arithmetic cannot prove goes through Python's ``%``.
+``%d``, ``%.12g`` and (for a `Fixed2` column) ``%.2f`` write them, with numpy
+digit tables; only a value whose rounding its float arithmetic cannot prove
+goes through Python's ``%``.
 """
 
 from __future__ import annotations
@@ -98,6 +99,8 @@ def _words(table) -> np.ndarray:
 _k = np.arange(10_000)
 _DIGITS4 = np.stack([_k // 1000, _k // 100 % 10, _k // 10 % 10, _k % 10], axis=1) + ord("0")
 _QUADS = _words(_DIGITS4)      # k -> the 4 digits of k, zero-padded
+_CENTS = _words(np.column_stack((np.full(100, ord(".")), _DIGITS4[:100, 2:],
+                                 np.zeros(100))))     # k < 100 -> "." and 2 digits
 _QUAD_ZEROS = sum((_k % 10 ** j == 0).astype(np.int8) for j in (1, 2, 3, 4))  # 4 for 0
 # for the leading 4 of 12 digits, 0 only when all are: the 12 zeros of 0 then
 # count as 11, so that 0 is written as "0"
@@ -148,14 +151,33 @@ def _float_keep() -> np.ndarray:
 _FLOAT_KEEP = _float_keep()
 
 
-class _IntField:
-    """Non-negative integers as %d: right-aligned digits, leading zeros dropped."""
+def rint_scaled(x: np.ndarray, scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """(r, proven): r = rint(x * scale) as floats, and a mask of where r is
+    the integer nearest the exact product x * scale, as Python's correctly
+    rounded conversions (``round``, ``%.2f``) find it. scale must be a float
+    that is exact, such as 10**k for k <= 22.
 
-    def __init__(self, values: np.ndarray):
+    The product is then rounded once, by at most half a unit u of its last
+    place. Below 2**52 both r and 0.5 are multiples of u, so a product that
+    is not exactly a half away from r is within 0.5 - u and the exact one
+    within 0.5 - u / 2 of r. Not proven: NaN, inf, |x * scale| >= 2**52 and
+    products on a half."""
+    small = np.abs(x) < 2.0 ** 52 / scale       # no overflow below; NaN compares false
+    m = np.where(small, x, 0.0) * scale
+    r = np.rint(m)
+    return r, small & (np.abs(m) < 2.0 ** 52) & (np.abs(m - r) != 0.5)
+
+
+class _IntField:
+    """Non-negative integers as %d: right-aligned digits, leading zeros
+    dropped, in a field of at least `width` digits."""
+
+    def __init__(self, values: np.ndarray, width: int = 1):
         self.values = np.asarray(values, dtype=np.int64)
         if len(values) and self.values.min() < 0:
             raise ValueError("an integer column must be non-negative")
-        digits = int(np.searchsorted(_POW10, self.values.max(initial=0), side="right")) + 1
+        digits = max(int(np.searchsorted(_POW10, self.values.max(initial=0),
+                                         side="right")) + 1, width)
         self._pow10 = _POW10[:digits - 1]
         self.groups = -(-digits // 4)
         self.template = b",\0\0\0" + b"0" * 4 * self.groups
@@ -222,6 +244,37 @@ class _FloatField:
                                < np.char.str_len(spliced)[:, None])
 
 
+class Fixed2(_IntField):
+    """A float column for `rows` to write as %.2f: the integer part as
+    _IntField writes it, then "." and 2 digits, where `rint_scaled` proves
+    the rounding of x * 100 and the sign bit is clear; by Python's % for any
+    other value (negatives, -0.0, NaN, inf, |x| >= 2**52 / 100, products on
+    a half)."""
+
+    def __init__(self, values):
+        x = np.asarray(values, dtype=np.float64)
+        cents, proven = rint_scaled(x, 100.0)
+        proven &= ~np.signbit(x)
+        cents = (cents * proven).astype(np.int64)
+        self._other = np.flatnonzero(~proven)
+        spliced = [("%.2f" % v).encode() for v in x[self._other].tolist()]
+        super().__init__(cents // 100, width=max(map(len, spliced), default=0) - 3)
+        self._cents = cents % 100
+        self.template += b".00\0"
+        self._spliced = np.array(spliced, dtype=f"S{len(self.template) - 1}")
+
+    def write(self, lo: int, hi: int, text: np.ndarray, keep: np.ndarray) -> None:
+        super().write(lo, hi, text[:, :-4], keep[:, :-4])
+        text[:, -4:].view(np.uint32)[:, 0] = _CENTS.take(self._cents[lo:hi])
+        keep[:, -4:] = [True, True, True, False]
+        a, b = np.searchsorted(self._other, (lo, hi))
+        if a < b:
+            other, spliced = self._other[a:b] - lo, self._spliced[a:b]
+            text[other, 1:] = spliced.view(np.uint8).reshape(b - a, -1)
+            keep[other, 1:] = (np.arange(len(self.template) - 1)
+                               < np.char.str_len(spliced)[:, None])
+
+
 class _StrField:
     """Strings as they are."""
 
@@ -241,6 +294,8 @@ class _StrField:
 
 
 def _field(values):
+    if isinstance(values, Fixed2):
+        return values
     if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
         return _IntField(values)
     if isinstance(values, np.ndarray) and values.dtype.kind == "f":
@@ -248,29 +303,32 @@ def _field(values):
     return _StrField(values)
 
 
-def rows(columns) -> str:
+def rows(columns, end: str = "\n") -> str:
     """The lines of a CSV table: for each row, its entry of every column,
-    joined by "," and ended by "\\n". A column is a non-negative integer
-    array (written as %d), a float array (as %.12g) or a sequence of str
-    (as is); every column has the same length."""
+    joined by "," and ended by `end`, one ASCII character. A column is a
+    non-negative integer array (written as %d), a float array (as %.12g), a
+    Fixed2 of floats (as %.2f) or a sequence of str (as is); every column
+    has the same length."""
+    if len(end) != 1 or not end.isascii():
+        raise ValueError(f"end must be one ASCII character, got {end!r}")
     fields = [_field(c) for c in columns]
     n = len(fields[0].values) if fields else 0
     if any(len(f.values) != n for f in fields):
         raise ValueError("columns differ in length")
     if not n:
         return ""
-    # each row starts with "\n" in place of the first field's separator
-    line = np.frombuffer(b"\n" + b"".join(f.template for f in fields)[1:], dtype=np.uint8)
-    ends = np.cumsum([len(f.template) for f in fields])
+    # each row starts with `end` in place of the first field's separator
+    line = np.frombuffer(end.encode() + b"".join(f.template for f in fields)[1:], dtype=np.uint8)
+    stops = np.cumsum([len(f.template) for f in fields])
     block = np.tile(line, (min(n, SLICE), 1))
     pieces = []
     for lo in range(0, n, SLICE):
         hi = min(lo + SLICE, n)
         text = block[:hi - lo].copy()
         keep = np.empty(text.shape, dtype=bool)
-        for f, end in zip(fields, ends):
-            start = end - len(f.template)
-            f.write(lo, hi, text[:, start:end], keep[:, start:end])
+        for f, stop in zip(fields, stops):
+            start = stop - len(f.template)
+            f.write(lo, hi, text[:, start:stop], keep[:, start:stop])
         pieces.append(text[keep].tobytes())
-    pieces[0] = pieces[0][1:]       # drop the "\n" before the first row, add the last one
-    return b"".join(pieces + [b"\n"]).decode("utf-8")
+    pieces[0] = pieces[0][1:]       # drop the `end` before the first row, add the last one
+    return b"".join(pieces + [end.encode()]).decode("utf-8")

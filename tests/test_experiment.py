@@ -3,12 +3,13 @@ import json
 import math
 import os
 import stat
+import struct
 import warnings
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from netforge import (EmpiricalParseError, ExperimentSpec, SpecError,
@@ -16,6 +17,7 @@ from netforge import (EmpiricalParseError, ExperimentSpec, SpecError,
                       export_sweep, gini, hybrid_sweep, run_batch,
                       small_world_scaling)
 from netforge import experiment
+from test_lines import from_bits, nearest_tie, neighbours
 
 
 def spec(**kw):
@@ -171,6 +173,33 @@ class TestRunBatch:
     def test_full_metrics_adds_paths(self):
         rs = run_batch(spec(runs=1, full_metrics=True))
         assert rs.reports[0].diameter is not None
+
+
+round_inputs = st.one_of(
+    st.floats(),                                            # NaN, inf, subnormals, +-0
+    st.integers(-2 ** 63, 2 ** 63 - 1).map(from_bits),
+    st.builds(lambda k, s: neighbours(nearest_tie(k, -12), s),     # (k + 1/2) * 10**-12
+              st.one_of(st.integers(-10 ** 13, 10 ** 13), st.integers(-2 ** 62, 2 ** 62)),
+              st.integers(-2, 2)),
+    st.builds(lambda k, r: k / r, st.integers(0, 10 ** 5), st.integers(1, 12)),  # batch means
+    st.builds(lambda v, s, sign: sign * neighbours(v, s),
+              st.sampled_from([2.0 ** 42 * 1e-12, 2.0 ** 52 * 1e-12, 0.5e-12]),
+              st.integers(-3, 3), st.sampled_from([1.0, -1.0])),
+    st.floats(2.0 ** 42 * 1e-12, 1e6),
+)
+
+
+def bits(values) -> list[bytes]:
+    return [struct.pack("<d", v) for v in values]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(round_inputs, max_size=30))
+@example([0.5e-12, 1.5e-12, 2.5e-12, -0.5e-12, -1e-14, -0.0, 4.0 / 3.0, 2.0 ** 52 * 1e-12])
+def test_round12_matches_round(values):
+    # metrics.json's per-node means, by bit pattern: -0.0 and 0.0 differ
+    x = np.array(values, dtype=np.float64)
+    assert bits(experiment._round12(x)) == bits(round(v, 12) for v in values)
 
 
 class TestExports:

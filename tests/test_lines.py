@@ -1,5 +1,5 @@
-"""lines.rows against Python's own "%d" and "%.12g" row by row: every byte
-of its output must be what the % operator writes."""
+"""lines.rows against Python's own "%d", "%.12g" and "%.2f" row by row: every
+byte of its output must be what the % operator writes."""
 
 import struct
 from decimal import Decimal
@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from netforge.lines import SLICE, rows
+from netforge.lines import SLICE, Fixed2, rows
 
 
 def reference(*columns) -> str:
@@ -32,7 +32,8 @@ def from_bits(bits: int) -> float:
 
 
 def nearest_tie(k: int, j: int) -> float:
-    """The float nearest to (k + 1/2) * 10**j, a tie at 12 digits when exact."""
+    """The float nearest to (k + 1/2) * 10**j: a tie at 12 digits when
+    10**11 <= k < 10**12, and of %.2f when j == -2."""
     return float(Decimal(2 * k + 1) * Decimal(10) ** j / 2)
 
 
@@ -88,6 +89,43 @@ def test_str_and_float_columns(entries):
     assert rows([labels, a, b]) == reference(labels, a, b)
 
 
+cents = st.one_of(
+    floats,
+    st.builds(lambda k, s: neighbours(nearest_tie(k, -2), s),
+              st.one_of(st.integers(0, 10 ** 5), st.integers(0, 2 ** 60)), st.integers(-2, 2)),
+    st.builds(neighbours, st.sampled_from([2.0 ** 52 / 100, 2.0 ** 53 / 100, 4e10, 1e13,
+                                           1.2e14, 1e15, 1e17, 0.005]),
+              st.integers(-3, 3)),
+    st.floats(0.0, 1e3),
+    st.floats(0.0, 1e17),
+)
+
+
+def reference_fixed2(columns, end: str) -> str:
+    line = ",".join(["%.2f"] * len(columns)) + end
+    return "".join(line % row for row in zip(*(c.tolist() for c in columns)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(cents, cents), max_size=20), st.sampled_from([" ", "\n"]))
+@example([(0.125, 0.005), (-0.0, 1e300), (float("inf"), -1.005), (2.0 ** 52 / 100, 0.0)], " ")
+def test_fixed2_columns(pairs, end):
+    x = np.array([a for a, _ in pairs], dtype=np.float64)
+    y = np.array([b for _, b in pairs], dtype=np.float64)
+    assert rows([Fixed2(x), Fixed2(y)], end=end) == reference_fixed2([x, y], end)
+
+
+@pytest.mark.parametrize("n", [1, SLICE, SLICE + 1, 2 * SLICE + 3])
+def test_fixed2_across_slices(n):
+    rng = np.random.default_rng(n)
+    x = rng.uniform(0.0, 700.0, n)
+    x[::5] = np.round(x[::5] * 100) / 100 + 0.005       # near %.2f ties
+    x[::13] = np.resize([np.nan, -3.25, 1e300, -0.0, 1e15], len(x[::13]))
+    keys = rng.integers(0, 10 ** 6, n)
+    assert rows([keys, Fixed2(x)]) == "".join(
+        "%d,%.2f\n" % r for r in zip(keys.tolist(), x.tolist()))
+
+
 @pytest.mark.parametrize("n", [0, 1, SLICE - 1, SLICE, SLICE + 1, 2 * SLICE + 3])
 def test_row_counts_across_slices(n):
     rng = np.random.default_rng(n)
@@ -106,3 +144,5 @@ def test_rejects_what_it_cannot_write():
         rows([np.arange(3), np.ones(2)])
     with pytest.raises(TypeError):
         rows([[1.5, 2.5]])
+    with pytest.raises(ValueError, match="one ASCII character"):
+        rows([np.arange(3)], end="\r\n")

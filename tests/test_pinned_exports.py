@@ -13,7 +13,11 @@ bulk, and the generate and theory digests before the CSV and edge-list
 writers formatted numbers in bulk. The inputs are small enough that no power-law fit runs (alpha_hat is
 null), so every exported number comes from sums, counts and divisions of
 small integers (and one half) and reads the same on any IEEE-754 host;
-the merit-approx curve alone goes through numpy's log.
+the merit-approx curve alone goes through numpy's log. The n = 2000
+export digests and the chart digest were recorded before the charts and
+metrics.json's rounding were written in bulk (the chart test then passed
+its points as a list of pairs); these go through math.log10 and, at
+n = 2000, the power-law fit's numpy log.
 """
 
 import contextlib
@@ -21,10 +25,12 @@ import hashlib
 import io
 import os
 
+import numpy as np
 import pytest
 
 from netforge import ExperimentSpec, export_results, export_sweep, hybrid_sweep, run_batch
 from netforge.cli import main
+from netforge.plotting import loglog_svg
 
 
 def tree_digest(root) -> str:
@@ -47,6 +53,26 @@ def test_export_results_bytes(tmp_path, model, digest):
     spec = ExperimentSpec(model=model, n=60, m_cap=3, runs=3, seed_base=5, emit_plots=True)
     export_results(run_batch(spec), str(tmp_path))
     assert tree_digest(tmp_path) == digest
+
+
+@pytest.mark.parametrize("model, digest", [
+    ("meritocracy", "595a9e8463429ee32f2ae6559dc5913699b52c729a37559e6d4fa32e94e7ab31"),
+    ("matthew", "170fd5bd5cd86bb8a5fda4e24924a896360e50403242879ba782e5a76efb63ef"),
+])
+def test_export_results_bytes_n2000(tmp_path, model, digest):
+    # 4-digit ranks on the charts, and per-node means k/3 that metrics.json rounds
+    spec = ExperimentSpec(model=model, n=2000, m_cap=5, runs=3, seed_base=5, emit_plots=True)
+    export_results(run_batch(spec), str(tmp_path))
+    assert tree_digest(tmp_path) == digest
+
+
+def test_loglog_svg_bytes():
+    rng = np.random.default_rng(7)
+    x = rng.lognormal(0.0, 2.0, 3000)
+    y = rng.lognormal(1.0, 3.0, 3000)
+    svg = loglog_svg(x, y, "t", "x", "y")
+    assert hashlib.sha256(svg.encode()).hexdigest() == (
+        "da6a93e4558e878d32e2d0eb1afbc01f649d10494b1c507e56be352ef7d671c9")
 
 
 def test_export_sweep_bytes(tmp_path):
