@@ -360,6 +360,23 @@ def _write_json(path: str, obj) -> str:
                          + "\n")
 
 
+def _metrics_json(d: dict) -> str:
+    """json.dumps(d, allow_nan=False, indent=1, sort_keys=True) + "\n" for a
+    ResultSet.to_dict() object, with its longest list, per_node_mean_indegree,
+    joined in one call: json writes a finite float as float.__repr__, and the
+    key sorts first, so the list opens the text."""
+    values = d["per_node_mean_indegree"]
+    if not all(map(math.isfinite, values)):
+        raise ValueError("Out of range float values are not JSON compliant")
+    text = json.dumps({**d, "per_node_mean_indegree": []}, allow_nan=False, indent=1,
+                      sort_keys=True)
+    if values:
+        head = '{\n "per_node_mean_indegree": ['
+        text = (head + "\n  " + ",\n  ".join(map(float.__repr__, values)) + "\n ]"
+                + text[len(head) + 1:])
+    return text + "\n"
+
+
 def export_results(rs: ResultSet, out_dir: str) -> list[str]:
     """Write metrics.json, rank_curve.csv, degree_ccdf.csv (and SVG charts when
     rs.spec.emit_plots is set) atomically. Returns the written paths."""
@@ -367,7 +384,7 @@ def export_results(rs: ResultSet, out_dir: str) -> list[str]:
     curve = rs.mean_rank_curve
     ranks = np.arange(1, len(curve) + 1)
     degrees, ccdf = (np.array(c) for c in zip(*rs.pooled_ccdf))
-    written = [_write_json(os.path.join(out_dir, "metrics.json"), rs.to_dict()),
+    written = [_atomic_write(os.path.join(out_dir, "metrics.json"), _metrics_json(rs.to_dict())),
                _write_csv(os.path.join(out_dir, "rank_curve.csv"), "rank,mean_indegree",
                           ranks, curve),
                _write_csv(os.path.join(out_dir, "degree_ccdf.csv"), "indegree,ccdf",

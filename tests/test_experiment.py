@@ -202,6 +202,24 @@ def test_round12_matches_round(values):
     assert bits(experiment._round12(x)) == bits(round(v, 12) for v in values)
 
 
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=30),
+       st.dictionaries(st.sampled_from(["provenance", "runs", "scalar_stats"]),
+                       st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=3)))
+@example([], {})
+@example([-0.0, 5e-324, 1e308, 1 / 3], {"runs": [], "scalar_stats": [0.5]})
+def test_metrics_json_matches_dumps(values, rest):
+    d = {**rest, "per_node_mean_indegree": values}
+    assert experiment._metrics_json(d) == json.dumps(
+        d, allow_nan=False, indent=1, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_metrics_json_rejects_non_finite(bad):
+    with pytest.raises(ValueError):
+        experiment._metrics_json({"per_node_mean_indegree": [1.0, bad]})
+
 class TestExports:
     def test_files_and_formats(self, tmp_path):
         rs = run_batch(spec(emit_plots=True))

@@ -215,6 +215,90 @@ class TestPathStats:
         assert max(lengths) > 100
         assert tuple(path_stats(g)) == (max(lengths), sum(lengths) / len(lengths))
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 400).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.tuples(st.integers(1, n), st.integers(1, n)), max_size=3 * n),
+        st.integers(0, n - 1), st.integers(0, n), st.integers(0, 2 ** 32 - 1))),
+        st.sampled_from([None, 1, 3]))
+    @example((400, [], 399, 0, 0), None)            # out-star: one 399-entry reduceat run
+    @example((400, [], 0, 400, 1), 1)               # 400-node chain, 64-source blocks
+    @example((300, [(5, 9), (9, 5)], 120, 300, 2), 3)   # hub and chain, 3-word blocks
+    def test_matches_reference(self, case, words):
+        # a hub (a random node linked to hub_out random others) longer than the
+        # dense columns, and a chain through a random order of its first
+        # `chain` nodes, whose small frontiers take the sparse step; words
+        # forces 1- or 3-word source blocks through the gather budget
+        n, pairs, hub_out, chain, seed = case
+        rng = np.random.default_rng(seed)
+        hub, *targets = (rng.permutation(n) + 1)[:hub_out + 1].tolist()
+        path = (rng.permutation(n) + 1)[:chain].tolist()
+        edges = {(i, j) for i, j in pairs if i != j}
+        edges |= {(hub, j) for j in targets} | set(zip(path, path[1:]))
+        g = graph(n, sorted(edges))
+        with pytest.MonkeyPatch.context() as mp:
+            if words is not None:
+                mp.setattr(metrics, "_GATHER_BYTES", words * 8 * max(n, g.edge_count))
+            stats = path_stats(g)
+        assert stats == reference_path_stats(g)
+
+    @pytest.mark.parametrize("edges, n, expected", [
+        (lambda n: [(1, j) for j in range(2, n + 1)], 20_000, (1, 1.0)),
+        (lambda n: [(i, 1) for i in range(2, n + 1)], 20_000, (1, 1.0)),
+        (lambda n: [(i, i + 1) for i in range(1, n)], 3000, (2999, 3001 / 3)),
+    ], ids=["out-star", "in-star", "chain"])
+    def test_bounded_inputs(self, time_limit, edges, n, expected):
+        # a hub with out-degree n - 1 keeps the calls per level bounded, and the
+        # chain's small frontiers take the sparse step: (n - 1, (n + 1) / 3)
+        g = graph(n, edges(n))
+        with time_limit(10):
+            assert path_stats(g) == expected
+
+
+def reference_path_stats(g):
+    """The multi-source BFS path_stats ran before it moved to the reversed
+    graph: one block at a time, it gathers the frontier bits of the edges
+    whose source gained bits at the level before, in target order, and ORs
+    them over each target's run with reduceat."""
+    n = g.n
+    words = max(1, min(metrics._MAX_WORDS, metrics._GATHER_BYTES // (8 * max(n, g.edge_count))))
+    order = np.argsort(g.indices, kind="stable")
+    src = g._sources()[order] - 1                       # edges in target order, 0-based
+    dst = g.indices[order] - 1
+    active = np.zeros(n, dtype=bool)
+    diameter, total, count = 0, 0, 0
+    for first in range(0, n, 64 * words):
+        ids = np.arange(min(64 * words, n - first), dtype=np.uint64)
+        rows = first + ids.astype(np.int64)             # frontier rows with bits
+        frontier = np.zeros((n, -(-len(ids) // 64)), dtype=np.uint64)
+        frontier[rows, ids >> 6] = np.uint64(1) << (ids & 63)
+        seen = frontier.copy()
+        level = 0
+        while True:
+            active[rows] = True
+            live = np.flatnonzero(active[src])
+            active[rows] = False
+            if not len(live):
+                break
+            t = dst[live]
+            runs = np.flatnonzero(np.concatenate(([True], t[1:] != t[:-1])))
+            reached = np.bitwise_or.reduceat(frontier[src[live]], runs, axis=0)
+            frontier[rows] = 0
+            rows = t[runs]
+            new = reached & ~seen[rows]
+            gained = new.any(axis=1)
+            rows, new = rows[gained], new[gained]
+            if not len(rows):
+                break
+            level += 1
+            found = int(np.bitwise_count(new).sum())
+            seen[rows] |= new
+            frontier[rows] = new
+            total += level * found
+            count += found
+        diameter = max(diameter, level)
+    return metrics.PathStats(None, None) if count == 0 else metrics.PathStats(
+        diameter, total / count)
+
 
 def scipy_adjacency(g):
     """g's 0-based adjacency as a scipy matrix: entry (i-1, j-1) is 1.0 for
