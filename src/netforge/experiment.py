@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import secrets
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 
 import numpy as np
@@ -266,9 +265,9 @@ class EmpiricalParseError(ValueError):
 @dataclass(eq=False)    # holds arrays: == is identity
 class EmpiricalResult:
     normalized_counts: np.ndarray = field(repr=False)   # descending
-    gini: float = 0.0
-    n: int = 0
-    scale: float = 1.0
+    gini: float
+    n: int
+    scale: float
 
 
 def _regular_counts(data: np.ndarray, starts: np.ndarray, ends: np.ndarray):
@@ -331,7 +330,7 @@ def _atomic_write(path: str, data: str) -> str:
     """Write data to path through a temporary file and a rename. The file
     gets the mode open(path, "w") would leave: a replaced file keeps its
     mode, a new one gets 0o666 less the umask. Returns path."""
-    tmp = os.path.join(os.path.dirname(path) or ".", f".tmp-{secrets.token_hex(8)}")
+    tmp = os.path.join(os.path.dirname(path) or ".", f".tmp-{os.urandom(8).hex()}")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)    # the umask applies
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
@@ -409,12 +408,12 @@ def export_sweep(rows: list[SweepRow], out_dir: str) -> list[str]:
         curve = row.result.mean_rank_curve
         written.append(_write_csv(os.path.join(out_dir, f"rank_curve_p{row.p:g}.csv"),
                                   "rank,mean_indegree", np.arange(1, len(curve) + 1), curve))
-    written.append(_write_csv(
+    written.append(_atomic_write(
         os.path.join(out_dir, "sweep_gini.csv"),
-        "p,gini_expected_curve,gini_rank_curve,gini_run_mean,gini_run_sd",
-        [f"{row.p:g}" for row in rows],
-        *np.array([(row.gini_expected_curve, row.gini_rank_curve, row.gini_run_mean,
-                    row.gini_run_sd) for row in rows]).T))
+        "p,gini_expected_curve,gini_rank_curve,gini_run_mean,gini_run_sd\n"
+        + "".join("%g,%.12g,%.12g,%.12g,%.12g\n" % (
+            row.p, row.gini_expected_curve, row.gini_rank_curve, row.gini_run_mean,
+            row.gini_run_sd) for row in rows)))
     written.append(_write_json(os.path.join(out_dir, "provenance.json"),
                                [row.result.provenance for row in rows]))
     return written

@@ -14,8 +14,6 @@ import numpy as np
 
 from .graph import DirectedGraph
 
-MODELS = ("meritocracy", "matthew", "hybrid", "er_directed")
-
 
 class ConfigError(ValueError):
     """Invalid FormationConfig."""
@@ -361,6 +359,7 @@ _GENERATORS = {
     "hybrid": generate_hybrid,
     "er_directed": generate_er_directed,
 }
+MODELS = tuple(_GENERATORS)
 
 
 def generate(config: FormationConfig) -> DirectedGraph:

@@ -168,6 +168,14 @@ def rint_scaled(x: np.ndarray, scale: float) -> tuple[np.ndarray, np.ndarray]:
     return r, small & (np.abs(m) < 2.0 ** 52) & (np.abs(m - r) != 0.5)
 
 
+def _splice(text: np.ndarray, keep: np.ndarray, at: np.ndarray, spliced: np.ndarray) -> None:
+    """In the field's rows `at`, put the bytes Python's % wrote for their
+    values (spliced, an S array one byte narrower than the field) after the
+    separator, and keep as many bytes as each holds."""
+    text[at, 1:] = spliced.view(np.uint8).reshape(len(at), -1)
+    keep[at, 1:] = np.arange(text.shape[1] - 1) < np.char.str_len(spliced)[:, None]
+
+
 class _IntField:
     """Non-negative integers as %d: right-aligned digits, leading zeros
     dropped, in a field of at least `width` digits."""
@@ -237,11 +245,9 @@ class _FloatField:
         words[:, 9] = _EXPONENTS.take(e + 310)
         other = np.flatnonzero(~(exact | (x == 0)))     # NaN, inf, |x| out of range, near-ties
         if len(other):
-            spliced = np.array([("%.12g" % v).encode() for v in x[other].tolist()],
-                               dtype=f"S{len(self.template) - 1}")
-            text[other, 1:] = spliced.view(np.uint8).reshape(len(other), -1)
-            keep[other, 1:] = (np.arange(len(self.template) - 1)
-                               < np.char.str_len(spliced)[:, None])
+            _splice(text, keep, other, np.array(
+                [("%.12g" % v).encode() for v in x[other].tolist()],
+                dtype=f"S{len(self.template) - 1}"))
 
 
 class Fixed2(_IntField):
@@ -269,28 +275,7 @@ class Fixed2(_IntField):
         keep[:, -4:] = [True, True, True, False]
         a, b = np.searchsorted(self._other, (lo, hi))
         if a < b:
-            other, spliced = self._other[a:b] - lo, self._spliced[a:b]
-            text[other, 1:] = spliced.view(np.uint8).reshape(b - a, -1)
-            keep[other, 1:] = (np.arange(len(self.template) - 1)
-                               < np.char.str_len(spliced)[:, None])
-
-
-class _StrField:
-    """Strings as they are."""
-
-    def __init__(self, values):
-        if not all(isinstance(s, str) for s in values):
-            raise TypeError("a column is an integer or float array, or a sequence of str")
-        encoded = [s.encode("utf-8") for s in values]
-        self._lengths = np.array([len(b) for b in encoded], dtype=np.int64)
-        w = -(-self._lengths.max(initial=0) // 4) * 4
-        self.values = np.array(encoded, dtype=f"S{max(w, 4)}")
-        self.template = b",\0\0\0" + b"\0" * max(w, 4)
-
-    def write(self, lo: int, hi: int, text: np.ndarray, keep: np.ndarray) -> None:
-        text[:, 4:] = self.values[lo:hi].view(np.uint8).reshape(hi - lo, -1)
-        keep[:] = np.arange(len(self.template)) - 4 < self._lengths[lo:hi, None]
-        keep[:, :4] = [True, False, False, False]
+            _splice(text, keep, self._other[a:b] - lo, self._spliced[a:b])
 
 
 def _field(values):
@@ -300,15 +285,14 @@ def _field(values):
         return _IntField(values)
     if isinstance(values, np.ndarray) and values.dtype.kind == "f":
         return _FloatField(values)
-    return _StrField(values)
+    raise TypeError("a column is an integer or float array, or a Fixed2")
 
 
 def rows(columns, end: str = "\n") -> str:
     """The lines of a CSV table: for each row, its entry of every column,
     joined by "," and ended by `end`, one ASCII character. A column is a
-    non-negative integer array (written as %d), a float array (as %.12g), a
-    Fixed2 of floats (as %.2f) or a sequence of str (as is); every column
-    has the same length."""
+    non-negative integer array (written as %d), a float array (as %.12g) or a
+    Fixed2 of floats (as %.2f); every column has the same length."""
     if len(end) != 1 or not end.isascii():
         raise ValueError(f"end must be one ASCII character, got {end!r}")
     fields = [_field(c) for c in columns]

@@ -13,18 +13,9 @@ from netforge.lines import SLICE, Fixed2, rows
 
 
 def reference(*columns) -> str:
-    """One "%d", "%.12g" or "%s" entry per value, by its column's kind."""
-    formats = []
-    for c in columns:
-        if isinstance(c, np.ndarray) and c.dtype.kind in "iu":
-            formats.append("%d")
-        elif isinstance(c, np.ndarray):
-            formats.append("%.12g")
-        else:
-            formats.append("%s")
-    line = ",".join(formats) + "\n"
-    lists = [c.tolist() if isinstance(c, np.ndarray) else list(c) for c in columns]
-    return "".join(line % row for row in zip(*lists))
+    """One "%d" or "%.12g" entry per value, by its column's dtype."""
+    line = ",".join("%d" if c.dtype.kind in "iu" else "%.12g" for c in columns) + "\n"
+    return "".join(line % row for row in zip(*(c.tolist() for c in columns)))
 
 
 def from_bits(bits: int) -> float:
@@ -77,16 +68,6 @@ def test_int_columns(pairs):
     src = np.array([a for a, _ in pairs], dtype=np.int64)
     dst = np.array([b for _, b in pairs], dtype=np.int64)
     assert rows([src, dst]) == reference(src, dst)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.tuples(st.text(st.characters(codec="utf-8"), max_size=6),
-                          floats, floats), max_size=8))
-def test_str_and_float_columns(entries):
-    labels = [s for s, _, _ in entries]
-    a = np.array([v for _, v, _ in entries], dtype=np.float64)
-    b = np.array([v for _, _, v in entries], dtype=np.float64)
-    assert rows([labels, a, b]) == reference(labels, a, b)
 
 
 cents = st.one_of(
@@ -144,5 +125,7 @@ def test_rejects_what_it_cannot_write():
         rows([np.arange(3), np.ones(2)])
     with pytest.raises(TypeError):
         rows([[1.5, 2.5]])
+    with pytest.raises(TypeError):
+        rows([np.arange(2), ["a", "b"]])
     with pytest.raises(ValueError, match="one ASCII character"):
         rows([np.arange(3)], end="\r\n")

@@ -17,7 +17,9 @@ the merit-approx curve alone goes through numpy's log. The n = 2000
 export digests and the chart digest were recorded before the charts and
 metrics.json's rounding were written in bulk (the chart test then passed
 its points as a list of pairs); these go through math.log10 and, at
-n = 2000, the power-law fit's numpy log.
+n = 2000, the power-law fit's numpy log. The sweep-label digest was
+recorded before sweep_gini.csv was written with Python's % in place of
+lines.rows.
 """
 
 import contextlib
@@ -81,6 +83,15 @@ def test_export_sweep_bytes(tmp_path):
     export_sweep(hybrid_sweep(spec), str(tmp_path))
     assert tree_digest(tmp_path) == (
         "b6252b32473ed4d4920fe7ecf59cce396da537e1c2ee296fdd437b488fb812e3")
+
+
+def test_export_sweep_labels_bytes(tmp_path):
+    # %g shortens or exponent-formats these p labels: 1e-07, 0.123457, 1
+    spec = ExperimentSpec(model="hybrid", n=40, m_cap=2, runs=2, seed_base=5,
+                          sweep=[1e-07, 0.1234567, 1.0])
+    export_sweep(hybrid_sweep(spec), str(tmp_path))
+    assert tree_digest(tmp_path) == (
+        "4e34d6072258821e092080dabe52d73095fe5b74e00e6a237bd08819ec8cb6da")
 
 
 def test_metrics_full_stdout_bytes(tmp_path):
