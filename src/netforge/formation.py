@@ -7,6 +7,7 @@ Quality is represented purely by node id order: id 1 is the highest-quality node
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -189,10 +190,12 @@ def _capped_pa(n: int, m: int, seed: int) -> DirectedGraph:
     flat = np.empty(steps, dtype=np.int64)  # targets by slot: row = source, creation order
     flat[slot] = parent[root] + n + 1
     rows = flat.reshape(n, m)
-    by_value = np.argsort(rows, axis=1, kind="stable")
-    repeat = np.zeros((n, m), dtype=bool)   # all but the first of equal targets in a row
-    np.put_along_axis(repeat, by_value[:, 1:], np.diff(
-        np.take_along_axis(rows, by_value, axis=1), axis=1) == 0, axis=1)
+    # each row's targets sorted with their columns as tie-breaks: key // m is
+    # the target, key % m its column, and all but the first of equal targets
+    # in a row repeat an earlier one
+    value, col = np.divmod(np.sort(rows * m + np.arange(m), axis=1), m)
+    repeat = np.zeros((n, m), dtype=bool)
+    np.put_along_axis(repeat, col[:, 1:], np.diff(value, axis=1) == 0, axis=1)
     bad = repeat | (rows == np.arange(1, n + 1)[:, None])
 
     copies = np.flatnonzero(parent >= 0)
@@ -247,6 +250,17 @@ def generate_matthew(config: FormationConfig) -> DirectedGraph:
 # -- hybrid: per-node attempt clocks ----------------------------------------
 
 
+def _time_order(times: np.ndarray) -> np.ndarray:
+    """np.argsort(times, kind="stable"). Without equal times every sort gives
+    that order, and the default one is several times faster than timsort on
+    times that are not already in order; the stable sort runs only on a tie."""
+    order = np.argsort(times)
+    ordered = times[order]
+    if (ordered[1:] == ordered[:-1]).any():
+        order = np.argsort(times, kind="stable")
+    return order
+
+
 def _hybrid(n: int, m: int, p: float, seed: int) -> DirectedGraph:
     """The hybrid process at 0 < p < 1: each event picks an active node i
     (out-degree < m) uniformly, then with probability p attempts one
@@ -270,7 +284,10 @@ def _hybrid(n: int, m: int, p: float, seed: int) -> DirectedGraph:
       until its m-th Matthew time or until no node beats its record.
     The replay skips attempts of full nodes; a record succeeds iff it beats
     the node's best followee, and a Matthew attempt draws from a pool of one
-    virtual self-link per node plus every earlier target.
+    virtual self-link per node plus every earlier target. Each node's
+    followees are kept in a dict, a set that remembers creation order, and the
+    edges are emitted in node order, creation order within a node: the order
+    the graph stores them in, so the constructor has nothing to sort.
     """
     rng = np.random.default_rng(seed)
     clocks = np.cumsum(rng.exponential(1 / (1 - p), (n, m)), axis=1)
@@ -290,10 +307,9 @@ def _hybrid(n: int, m: int, p: float, seed: int) -> DirectedGraph:
         nodes.append(ids)
         times.append(t)
         targets.append(cur)
-    order = np.argsort(np.concatenate(times), kind="stable")
-    followees: list[set[int]] = [set() for _ in range(n + 1)]    # by node id; 0 unused
+    order = _time_order(np.concatenate(times))
+    followees: list[dict[int, None]] = [{} for _ in range(n + 1)]   # by node id; 0 unused
     best = [n + 1] * (n + 1)                # each node's best followee
-    src: list[int] = []                     # edges in creation order
     pool = list(range(1, n + 1))            # virtual self-links, then edge targets
     u = _uniforms(rng).__next__
     for i, j in zip(np.concatenate(nodes)[order].tolist(),
@@ -305,12 +321,14 @@ def _hybrid(n: int, m: int, p: float, seed: int) -> DirectedGraph:
             j = i
             while j == i or j in mine:
                 j = pool[int(u() * len(pool))]
-        src.append(i)
-        mine.add(j)
+        mine[j] = None
         pool.append(j)
         if j < best[i]:
             best[i] = j
-    return DirectedGraph._from_out_adj(n, src, pool[n:])
+    followees = followees[1:]
+    src = np.repeat(np.arange(1, n + 1), [len(mine) for mine in followees])
+    dst = np.fromiter(itertools.chain.from_iterable(followees), np.int64, len(src))
+    return DirectedGraph._from_out_adj(n, src, dst)
 
 
 def generate_hybrid(config: FormationConfig) -> DirectedGraph:

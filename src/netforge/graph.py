@@ -6,7 +6,8 @@ The out-links of node i are ``indices[indptr[i-1]:indptr[i]]`` (1-based
 targets, in the order the generator created them); ``in_degree[k]`` counts
 the links into node k+1. Every graph is built once, from its edges, by
 ``DirectedGraph._from_out_adj``, which enforces the structural rules; the
-arrays are read-only afterwards.
+arrays are read-only afterwards. The generators hand it their edges in node
+order, so it sorts only edge lists that are not.
 """
 
 from __future__ import annotations
@@ -39,7 +40,11 @@ class EdgeListParseError(GraphError):
 
 def _check_edges(n: int, src: np.ndarray, dst: np.ndarray) -> None:
     """Raise GraphError for the first edge, in the given order, that has an id
-    outside [1, n], is a self-loop or repeats an earlier edge."""
+    outside [1, n], is a self-loop or repeats an earlier edge.
+
+    Repeats are found by one np.sort of the edge keys; the stable argsort
+    that tells which of the equal edges came first runs only when some key
+    repeats."""
     outside = (src < 1) | (src > n) | (dst < 1) | (dst > n)
     # clipped ids keep the key in range; a key shared with an out-of-range
     # edge can only mark an edge that comes after it
@@ -47,8 +52,12 @@ def _check_edges(n: int, src: np.ndarray, dst: np.ndarray) -> None:
     repeat = np.zeros(len(s), dtype=bool)
     if (n + 1) * (n + 3) < 2 ** 63:
         key = s * (n + 2) + d
-        order = np.argsort(key, kind="stable")
-        repeat[order[1:]] = key[order[1:]] == key[order[:-1]]
+        ordered = np.sort(key)
+        # timsort, numpy's stable sort of int64, is several times slower
+        # than np.sort on keys that are not already in order
+        if (ordered[1:] == ordered[:-1]).any():
+            order = np.argsort(key, kind="stable")
+            repeat[order[1:]] = key[order[1:]] == key[order[:-1]]
     else:       # s * (n + 2) + d would overflow int64
         order = np.lexsort((d, s))
         repeat[order[1:]] = (s[order[1:]] == s[order[:-1]]) & (d[order[1:]] == d[order[:-1]])
@@ -157,15 +166,17 @@ class DirectedGraph:
     def _from_out_adj(cls, n: int, src, dst) -> "DirectedGraph":
         """Build the graph on nodes 1..n with edges (src[k], dst[k]), listed in
         creation order. Raises GraphError for a bad n or for the first edge
-        that breaks a rule (see `_check_edges`)."""
+        that breaks a rule (see `_check_edges`). Edges already in node order
+        are stored as given; others are sorted by source, stably."""
         if not isinstance(n, (int, np.integer)) or n < 2:
             raise GraphError(f"node count must be an integer >= 2, got {n!r}")
         n = int(n)
         src = np.asarray(src, dtype=np.int64)
-        dst = np.asarray(dst, dtype=np.int64)
+        dst = np.array(dst, dtype=np.int64)     # a copy: the graph owns its arrays
         _check_edges(n, src, dst)
-        order = np.argsort(src, kind="stable")
-        src, dst = src[order], dst[order]
+        if (src[1:] < src[:-1]).any():          # not in node order yet
+            order = np.argsort(src, kind="stable")
+            src, dst = src[order], dst[order]
         g = cls.__new__(cls)
         g.n = n
         g.indptr = np.cumsum(np.bincount(src, minlength=n + 1))

@@ -8,7 +8,7 @@ from netforge import (ConfigError, FormationConfig, brute_force_oracle,
                       generate, generate_er_directed, generate_hybrid,
                       generate_matthew, generate_meritocracy,
                       merit_followee_matrix)
-from netforge.formation import _firing_order, _uniforms
+from netforge.formation import _firing_order, _time_order, _uniforms
 from netforge.graph import DirectedGraph
 
 
@@ -333,6 +333,24 @@ class TestHybrid:
                                                       seed=r))) for r in range(runs)])
         old = np.array([features(reference_hybrid(n, m, p, runs + r)) for r in range(runs)])
         assert welch_z(new, old).max() < 4.5
+
+    @pytest.mark.parametrize("size, distinct", [(0, 1), (1, 1), (2, 1), (5000, 7),
+                                                (5000, 4000), (5000, 10 ** 9)])
+    def test_time_order_is_stable(self, size, distinct):
+        # the replay order of the attempt times: with ties (few distinct
+        # values) the stable fallback must run, without them the default sort
+        # must already give the stable order
+        rng = np.random.default_rng(size + distinct)
+        times = rng.integers(0, distinct, size) / 3
+        assert np.array_equal(_time_order(times), np.argsort(times, kind="stable"))
+        clocks = np.cumsum(rng.exponential(size=(size, 3)), axis=1).ravel()
+        assert np.array_equal(_time_order(clocks), np.argsort(clocks, kind="stable"))
+
+    def test_time_order_breaks_ties_by_position(self):
+        times = np.array([2.0, 1.0, 2.0, 0.5, 1.0, 2.0] * 100)
+        order = _time_order(times)
+        assert np.array_equal(order, np.argsort(times, kind="stable"))
+        assert order[:100].tolist() == list(range(3, 600, 6))
 
     def test_all_invariants_mid_p(self):
         g = generate_hybrid(cfg(model="hybrid", n=100, m_cap=4, p=0.6, seed=7))

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from netforge import (DirectedGraph, EdgeListParseError, FormationConfig, GraphError,
                       generate)
+from netforge.graph import _check_edges
 
 
 def graph(n, edges):
@@ -248,3 +249,89 @@ def test_from_edge_list_matches_reference(lines, n, final_newline):
         return
     assert (g.n, list(g.edges())) == expected
     g.check_invariants()
+
+
+def stable_check_edges(n, src, dst):
+    """_check_edges as it was before it sorted only when a key repeats: one
+    stable argsort of every key, kept as the reference of the error it raises."""
+    outside = (src < 1) | (src > n) | (dst < 1) | (dst > n)
+    s, d = np.clip(src, 0, n + 1), np.clip(dst, 0, n + 1)
+    repeat = np.zeros(len(s), dtype=bool)
+    if (n + 1) * (n + 3) < 2 ** 63:
+        key = s * (n + 2) + d
+        order = np.argsort(key, kind="stable")
+        repeat[order[1:]] = key[order[1:]] == key[order[:-1]]
+    else:
+        order = np.lexsort((d, s))
+        repeat[order[1:]] = (s[order[1:]] == s[order[:-1]]) & (d[order[1:]] == d[order[:-1]])
+    bad = np.flatnonzero(outside | (src == dst) | repeat)
+    if not len(bad):
+        return
+    k = int(bad[0])
+    i, j = int(src[k]), int(dst[k])
+    if outside[k]:
+        message = f"node id {i if not 1 <= i <= n else j} outside [1, {n}]"
+    elif i == j:
+        message = f"self-loop ({i},{j}) rejected"
+    else:
+        message = f"duplicate edge ({i},{j}) rejected"
+    raise GraphError(message, edge=k)
+
+
+def check_outcome(check, n, src, dst):
+    """(message, edge) of the GraphError check raises, or None."""
+    try:
+        check(n, src, dst)
+    except GraphError as exc:
+        return str(exc), exc.edge
+    return None
+
+
+# n from 2 up to just below 2**62, where (n + 1) * (n + 3) overflows int64 and
+# the check takes its lexsort branch; ids around 1 and n, and just outside
+big = 2 ** 62 - 1
+edge_checks = st.sampled_from([2, 3, 5, 40, 3 * 10 ** 9, big]).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.tuples(*[st.one_of(st.integers(-1, 6), st.sampled_from([n - 1, n, n + 1]))] * 2),
+             max_size=40)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(edge_checks)
+@example((5, [(1, 2), (3, 4), (1, 2), (2, 2)]))         # a repeat before a self-loop
+@example((5, [(4, 1), (2, 3), (4, 1), (2, 3), (4, 1)]))  # several repeats
+@example((big, [(big, 1), (1, big), (big, 1)]))         # lexsort branch repeat
+@example((big, [(1, 2), (2, 1)]))                       # lexsort branch, no error
+def test_check_edges_matches_stable_reference(case):
+    n, edges = case
+    src, dst = (np.array([e[k] for e in edges], dtype=np.int64) for k in (0, 1))
+    expected = check_outcome(stable_check_edges, n, src, dst)
+    assert check_outcome(_check_edges, n, src, dst) == expected
+    perm = np.random.default_rng(len(edges)).permutation(len(edges))
+    assert (check_outcome(_check_edges, n, src[perm], dst[perm])
+            == check_outcome(stable_check_edges, n, src[perm], dst[perm]))
+
+
+@pytest.mark.parametrize("model, extra", [
+    ("meritocracy", {}), ("matthew", {}), ("hybrid", {"p": 0.4}),
+    ("er_directed", {"density": 0.003})])
+def test_check_edges_names_first_repeat_in_large_lists(model, extra):
+    # a generated edge list in shuffled order, then with one edge repeated
+    # late: the error names the later copy, as the stable reference does
+    g = generate(FormationConfig(model=model, n=2000, m_cap=4, seed=9, **extra))
+    rng = np.random.default_rng(1)
+    perm = rng.permutation(g.edge_count)
+    src, dst = g._sources()[perm], g.indices[perm]
+    assert _check_edges(g.n, src, dst) is None
+    at = int(rng.integers(1, g.edge_count))
+    src, dst = np.insert(src, at, src[at // 2]), np.insert(dst, at, dst[at // 2])
+    expected = check_outcome(stable_check_edges, g.n, src, dst)
+    assert expected == (f"duplicate edge ({src[at]},{dst[at]}) rejected", at)
+    assert check_outcome(_check_edges, g.n, src, dst) == expected
+    # out of node order, the constructor sorts by source and keeps the
+    # given order within each source
+    src, dst = g._sources()[perm], g.indices[perm]
+    rebuilt = DirectedGraph._from_out_adj(g.n, src, dst)
+    assert np.array_equal(rebuilt.indptr, g.indptr)
+    assert np.array_equal(rebuilt.indices, dst[np.argsort(src, kind="stable")])
+    rebuilt.check_invariants()

@@ -393,6 +393,32 @@ class TestAdjacency:
                                                       **extra)))
 
 
+def circulant(n, k):
+    """Every node links to the next k nodes, cyclically: in and out degree k
+    at every node, so every degree key ties."""
+    return graph(n, [(i, (i + d - 1) % n + 1) for i in range(1, n + 1)
+                     for d in range(1, k + 1)])
+
+
+@pytest.mark.parametrize("g", [
+    circulant(2, 1), circulant(50, 1), circulant(3000, 4),
+    star(2), star(3000),
+    generate(FormationConfig("er_directed", n=3000, m_cap=5, density=0.002, seed=3)),
+    generate(FormationConfig("er_directed", n=200, m_cap=5, density=0.0, seed=3)),
+    generate(FormationConfig("meritocracy", n=3000, m_cap=5, seed=3)),
+], ids=["circulant2", "circulant50", "circulant3000", "star2", "star3000", "er",
+        "empty", "meritocracy"])
+def test_degree_orders_match_stable_argsort(g):
+    # the relabels of adjacency_csr (ascending s = in + out) and path_stats
+    # (descending out-degree) on tie-heavy degree vectors
+    ins, outs = g.degrees_snapshot()
+    for key in (ins + outs, -outs):
+        assert np.array_equal(metrics._stable_order(key), np.argsort(key, kind="stable"))
+    rank = metrics.adjacency_csr(g)[0]
+    assert np.array_equal(np.argsort(rank), np.argsort(ins + outs, kind="stable"))
+    check_symmetrization(g)
+
+
 def test_runtime_does_not_import_scipy(tmp_path):
     # scipy is a test dependency only: importing the package, computing a
     # report and running `netforge metrics` must not load it

@@ -19,7 +19,10 @@ metrics.json's rounding were written in bulk (the chart test then passed
 its points as a list of pairs); these go through math.log10 and, at
 n = 2000, the power-law fit's numpy log. The sweep-label digest was
 recorded before sweep_gini.csv was written with Python's % in place of
-lines.rows.
+lines.rows. The larger generate digests were recorded before the
+generators, the CSR constructor and the degree-order relabels stopped
+stable-sorting unordered keys; unlike the sweep pins, which hash in-degrees
+alone, they see the order of each node's out-list.
 """
 
 import contextlib
@@ -141,6 +144,25 @@ def stdout_digest(argv) -> str:
 ])
 def test_generate_stdout_bytes(model, extra, digest):
     assert stdout_digest(["generate", "--model", model, "--n", "50", "--m", "3",
+                          "--seed", "4"] + extra) == digest
+
+
+@pytest.mark.parametrize("model, n, extra, digest", [
+    ("hybrid", 1000, ["--p", "0.25"],
+     "4c0bb9850e85bb54eb6c06b3e3292020027e6a71685af33e8d8f475fd7a24959"),
+    ("hybrid", 1000, ["--p", "0.75"],
+     "54ddc1df0308e4841c495599cc89877980d527880a9342a09e8236a5aa4c86a2"),
+    ("matthew", 10_000, [],
+     "b97c33818ada2a6a56bf737d852da03cd06c6f80aae945a33e56da78f111b99a"),
+    ("meritocracy", 10_000, [],
+     "675b75a232fb8cc0debac2bd835badfa64cfa4727d6a5b730080b8ce1a8506e3"),
+    ("er_directed", 2000, ["--density", "0.005"],
+     "4cad73cc34f4c414c6175853faf77c94cc2aec29f7597e95f39ab9cec117e894"),
+])
+def test_generate_stdout_bytes_large(model, n, extra, digest):
+    # every node's out-list in creation order, at sizes where rows are long
+    # and many sort keys tie
+    assert stdout_digest(["generate", "--model", model, "--n", str(n), "--m", "5",
                           "--seed", "4"] + extra) == digest
 
 
