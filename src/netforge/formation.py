@@ -138,16 +138,15 @@ def generate_meritocracy(config: FormationConfig) -> DirectedGraph:
 # -- Matthew effect: capped preferential attachment -------------------------
 
 
-def _firing_order(rng: np.random.Generator, n: int, m: int) -> np.ndarray:
-    """When n nodes fire m times each, every node with firings left firing next
-    with equal probability: entry (i, k) is the step, counted from 0, of node
-    i + 1's k-th firing. Rate-1 clocks are memoryless, so ranking each node's m
-    cumulative Exp(1) times samples it; sorting the rows keeps a node's firings
-    in order even where two of its times tie."""
-    step = np.empty(n * m, dtype=np.int64)
-    step[np.argsort(np.cumsum(rng.exponential(size=(n, m)), axis=1), axis=None)] = \
-        np.arange(n * m)
-    return np.sort(step.reshape(n, m), axis=1)
+def _time_order(times: np.ndarray) -> np.ndarray:
+    """np.argsort(times, kind="stable"). Without equal times every sort gives
+    that order, and the default one is several times faster than timsort on
+    times that are not already in order; the stable sort runs only on a tie."""
+    order = np.argsort(times)
+    ordered = times[order]
+    if (ordered[1:] == ordered[:-1]).any():
+        order = np.argsort(times, kind="stable")
+    return order
 
 
 def _capped_pa(n: int, m: int, seed: int) -> DirectedGraph:
@@ -156,8 +155,12 @@ def _capped_pa(n: int, m: int, seed: int) -> DirectedGraph:
     in-degree + 1 (the virtual self-link); a target that is the node itself or
     one it already follows is rejected and redrawn. Ends with n * m edges.
 
-    Sources: every node fires m times, at the steps `_firing_order` gives;
-    slot (i - 1) * m + k of the (n, m) matrices below is node i's k-th firing.
+    Sources: every node fires m times, and every node with firings left fires
+    next with equal probability. Rate-1 clocks are memoryless, so ranking the
+    n * m cumulative Exp(1) times of the nodes' m firings samples that order;
+    the stable `_time_order` keeps a node's firings in order even where two
+    of its times tie. Slot (i - 1) * m + k of the (n, m) matrices below is
+    node i's k-th firing.
 
     Targets: the weights are a pool of one entry per node followed by the
     target of every earlier step, so step t draws an index x uniform over
@@ -177,9 +180,10 @@ def _capped_pa(n: int, m: int, seed: int) -> DirectedGraph:
     """
     rng = np.random.default_rng(seed)
     steps = n * m
-    step = _firing_order(rng, n, m).ravel()     # slot (source - 1) * m + k -> step
-    slot = np.empty(steps, dtype=np.int64)      # step t fills slot[t]
-    slot[step] = np.arange(steps)
+    # step t fills slot[t]
+    slot = _time_order(np.cumsum(rng.exponential(size=(n, m)), axis=1).ravel())
+    step = np.empty(steps, dtype=np.int64)      # slot (source - 1) * m + k -> step
+    step[slot] = np.arange(steps)
     parent = (rng.random(steps) * np.arange(n, n + steps)).astype(np.int64) - n
     root = np.where(parent < 0, np.arange(steps), parent)
     while True:                             # pointer doubling to each step's root
@@ -248,17 +252,6 @@ def generate_matthew(config: FormationConfig) -> DirectedGraph:
 
 
 # -- hybrid: per-node attempt clocks ----------------------------------------
-
-
-def _time_order(times: np.ndarray) -> np.ndarray:
-    """np.argsort(times, kind="stable"). Without equal times every sort gives
-    that order, and the default one is several times faster than timsort on
-    times that are not already in order; the stable sort runs only on a tie."""
-    order = np.argsort(times)
-    ordered = times[order]
-    if (ordered[1:] == ordered[:-1]).any():
-        order = np.argsort(times, kind="stable")
-    return order
 
 
 def _hybrid(n: int, m: int, p: float, seed: int) -> DirectedGraph:

@@ -10,8 +10,12 @@ a regular line both rules give the same value. The lines are the ones
 
 `rows` writes columns of numbers as CSV rows, byte for byte as Python's
 ``%d``, ``%.12g`` and (for a `Fixed2` column) ``%.2f`` write them, with numpy
-digit tables; only a value whose rounding its float arithmetic cannot prove
-goes through Python's ``%``.
+digit tables. A float is scaled by an exact power of ten, so the product is
+rounded once, and its `rint` is proven unless the product is on a half (see
+`rint_scaled`). ``%.12g`` is written in bulk only in its fixed notation
+(1e-4 <= |x| < 999999999999.5, and 0); a value in exponent form, a
+non-finite one and one whose rounding is not proven go through Python's
+``%``.
 """
 
 from __future__ import annotations
@@ -105,46 +109,32 @@ _QUAD_ZEROS = sum((_k % 10 ** j == 0).astype(np.int8) for j in (1, 2, 3, 4))  # 
 # for the leading 4 of 12 digits, 0 only when all are: the 12 zeros of 0 then
 # count as 11, so that 0 is written as "0"
 _TOP_ZEROS = np.minimum(_QUAD_ZEROS, 3)
-_e = np.arange(-310, 311)
-# _EXPONENTS[e + 310]: the sign of e and 3 digits of |e|
-_EXPONENTS = _words(np.column_stack((np.where(_e < 0, ord("-"), ord("+")),
-                                     _DIGITS4[np.abs(_e), 1:])))
-# _FLOAT_CLASS[e + 310]: 12 * the exponent class of e (see _FLOAT_TEMPLATE)
-_FLOAT_CLASS = 12 * np.where((_e >= -4) & (_e < 12), _e + 4, np.where(np.abs(_e) < 100, 16, 17))
-del _k, _DIGITS4, _e
+del _k, _DIGITS4
 _POW10 = 10 ** np.arange(1, 19, dtype=np.int64)    # an int64 has < 20 digits
-# _SCALE[k + 300]: 10**k rounded once; 0 beyond 1e308, where no value is scaled
-_SCALE = np.array([float(f"1e{k}") if k <= 308 else 0.0 for k in range(-300, 320)])
+_SCALE = (10 ** np.arange(16)).astype(np.float64)     # 10**k, exact below 2**53
 
-# A %.12g field holds a value's 12 rounded digits d0..d11 and exponent e
-# (d0.d1...d11 * 10**e) at fixed bytes of its 40-byte template, in words:
-#   ",-0_"  d0-d3 d4-d7 d8-d11 (integer part)  ".000"
-#   d0-d3 d4-d7 d8-d11 (fraction part)  "___e"  exponent sign and 3 digits
-# (_ is never kept). Its mask depends on the sign, the exponent class (e + 4
-# for the fixed notation, -4 <= e < 12; 16 for an exponent of 2 digits, 17
-# of 3) and the count k of digits left once trailing zeros are stripped.
-_FLOAT_TEMPLATE = b",-0\0" + b"0" * 12 + b".000" + b"0" * 12 + b"\0\0\0e+000"
-_HALF_MARGIN = 2.0 ** -10   # above the error of |x| * _SCALE[...]: two roundings, < 2.3e-4
+# A %.12g field in fixed notation holds a value's 12 rounded digits d0..d11
+# and exponent e (d0.d1...d11 * 10**e, -4 <= e < 12) at fixed bytes of its
+# 32-byte template, in words:
+#   ",-0_"  d0-d3 d4-d7 d8-d11 (integer part)  ".000"  d0-d3 d4-d7 d8-d11 (fraction part)
+# (_ is never kept). Its mask depends on the sign, e and the count k of
+# digits left once trailing zeros are stripped.
+_FLOAT_TEMPLATE = b",-0\0" + b"0" * 12 + b".000" + b"0" * 12
 
 
 def _float_keep() -> np.ndarray:
-    """(2 * 18 * 12, 40) masks, row neg * 216 + 12 * class + k - 1."""
+    """(2 * 16 * 12, 32) masks, row neg * 192 + 12 * (e + 4) + k - 1."""
     neg = np.arange(2)[:, None, None, None]
-    cls = np.arange(18)[None, :, None, None]
+    e = np.arange(-4, 12)[None, :, None, None]
     k = np.arange(1, 13)[None, None, :, None]
     j = np.arange(len(_FLOAT_TEMPLATE))
-    e = cls - 4
-    whole = (cls < 16) & (e >= 0)       # fixed, with an integer part: 123.45
-    small = (cls < 16) & (e < 0)        # fixed, below 1: 0.0012345
-    sci = cls >= 16                     # 1.2345e+20
-    first_fraction = np.where(whole, e + 1, np.where(small, 0, 1))
-    a, z, b, x = j - 4, j - 17, j - 20, j - 37      # offsets in each part
-    keep = (j == 0) | ((j == 1) & (neg == 1)) | ((j == 2) & small)
-    keep = keep | ((0 <= a) & (a < 12) & ((whole & (a <= e)) | (sci & (a == 0))))
+    first_fraction = np.maximum(e + 1, 0)   # the first digit after the point
+    a, z, b = j - 4, j - 17, j - 20         # offsets in each part
+    keep = (j == 0) | ((j == 1) & (neg == 1)) | ((j == 2) & (e < 0))
+    keep = keep | ((0 <= a) & (a <= e))     # 123.45
     keep = keep | ((j == 16) & (k > first_fraction))
-    keep = keep | ((0 <= z) & (z < 3) & small & (z < -e - 1))
-    keep = keep | ((0 <= b) & (b < 12) & (first_fraction <= b) & (b < k))
-    keep = keep | (sci & ((j == 35) | (j == 36) | (x >= 1) | ((x == 0) & (cls == 17))))
+    keep = keep | ((0 <= z) & (z < -e - 1))     # 0.0012345
+    keep = keep | ((first_fraction <= b) & (b < k))
     return keep.reshape(-1, len(_FLOAT_TEMPLATE))
 
 
@@ -205,8 +195,9 @@ class _IntField:
 
 
 class _FloatField:
-    """Floats as %.12g, by float arithmetic where its error bound proves the
-    rounding, and by Python's % elsewhere."""
+    """Floats as %.12g: by float arithmetic where %.12g writes the fixed
+    notation (1e-4 <= |x| < 999999999999.5, and 0) and one rounding proves
+    its digits, and by Python's % elsewhere."""
 
     template = _FLOAT_TEMPLATE
 
@@ -216,19 +207,17 @@ class _FloatField:
     def write(self, lo: int, hi: int, text: np.ndarray, keep: np.ndarray) -> None:
         x = self.values[lo:hi]
         a = np.abs(x)
-        normal = (a >= 1e-300) & (a <= 1e300)       # NaN compares false
-        a = np.where(normal, a, 0.0)
-        e = np.floor(np.log10(np.where(normal, a, 1.0))).astype(np.int64)
-        m = a * _SCALE.take(311 - e)
-        # Two roundings put m within 2.3e-4 of the exact |x| * 10**(11 - e):
-        # more than _HALF_MARGIN from a half, it rounds as the exact value
-        # does. Where log10 put e one off near a power of ten, m is outside
-        # [1e11, 1e12); such values, and those that are not normal or near a
-        # half, go to Python.
+        fixed = (a >= 1e-4) & (a < 999999999999.5)     # NaN compares false
+        e = np.clip(np.floor(np.log10(np.where(fixed, a, 1.0))), -4, 11).astype(np.int64)
+        m = np.where(fixed, a, 0.0) * _SCALE.take(11 - e)
+        # m is |x| * 10**(11 - e) rounded once, so, as in rint_scaled, its
+        # rint is the exact product's unless m is on a half. Where log10 put
+        # e one off near a power of ten, m is outside [1e11, 1e12); such
+        # values, and those outside the range or on a half, go to Python.
         r = np.rint(m)
-        exact = (m >= 1e11) & (m < 1e12) & (np.abs(m - r) < 0.5 - _HALF_MARGIN)
+        exact = (m >= 1e11) & (m < 1e12) & (np.abs(m - r) != 0.5)
         r = (r * exact).astype(np.int64)        # 0, written as "0", where not exact
-        carry = r == 10 ** 12
+        carry = r == 10 ** 12                   # never at e = 11: there m < 999999999999.5
         r -= carry * (9 * 10 ** 11)
         e += carry
         high = r // 10 ** 8
@@ -237,13 +226,12 @@ class _FloatField:
         mid -= high * 10 ** 4
         zeros = _QUAD_ZEROS.take(low) + (low == 0) * (
             _QUAD_ZEROS.take(mid) + (mid == 0) * _TOP_ZEROS.take(high))
-        row = _FLOAT_CLASS.take(e + 310) + np.signbit(x) * 216 + (11 - zeros)
+        row = 12 * (e + 4) + np.signbit(x) * 192 + (11 - zeros)
         keep[:] = _FLOAT_KEEP.take(row, axis=0)
         words = text.view(np.uint32)
         for j, part in ((1, high), (2, mid), (3, low)):
             words[:, j] = words[:, j + 4] = _QUADS.take(part)
-        words[:, 9] = _EXPONENTS.take(e + 310)
-        other = np.flatnonzero(~(exact | (x == 0)))     # NaN, inf, |x| out of range, near-ties
+        other = np.flatnonzero(~(exact | (x == 0)))     # NaN, inf, exponent form, halves
         if len(other):
             _splice(text, keep, other, np.array(
                 [("%.12g" % v).encode() for v in x[other].tolist()],

@@ -8,7 +8,7 @@ from netforge import (ConfigError, FormationConfig, brute_force_oracle,
                       generate, generate_er_directed, generate_hybrid,
                       generate_matthew, generate_meritocracy,
                       merit_followee_matrix)
-from netforge.formation import _firing_order, _time_order, _uniforms
+from netforge.formation import _time_order, _uniforms
 from netforge.graph import DirectedGraph
 
 
@@ -279,8 +279,10 @@ class TestMatthew:
         walk([], [m] * n, 1.0)
         assert sum(law.values()) == pytest.approx(1.0)
         rng, runs = np.random.default_rng(0), 20000
-        seen = Counter(tuple((np.argsort(_firing_order(rng, n, m), axis=None) // m).tolist())
-                       for _ in range(runs))
+        # _capped_pa's source order: the stable ranking of each node's m
+        # cumulative Exp(1) firing times; slot // m is the firing node
+        seen = Counter(tuple((_time_order(np.cumsum(rng.exponential(size=(n, m)), axis=1)
+                                          .ravel()) // m).tolist()) for _ in range(runs))
         assert set(seen) <= set(law)
         cells = sorted(law)
         assert chisquare([seen[c] for c in cells], [law[c] * runs for c in cells]).pvalue > 1e-3

@@ -44,7 +44,8 @@ floats = st.one_of(
     st.builds(lambda k, j, s: neighbours(nearest_tie(k, j), s),
               st.integers(10 ** 11, 10 ** 12 - 1), st.integers(-320, 300),
               st.integers(-2, 2)),
-    st.builds(neighbours, st.sampled_from([1e-5, 1e-4, 1e11, 1e12, 1e-300, 1e300]),
+    st.builds(neighbours, st.sampled_from([1e-5, 1e-4, neighbours(1e-4, -1), 1e11, 1e12,
+                                           999999999999.5, 1e-300, 1e300]),
               st.integers(-3, 3)),
     st.integers(-2 ** 53, 2 ** 53).map(float),
 )
@@ -56,6 +57,9 @@ ids = st.one_of(st.sampled_from([0, 9, 10, 9999, 10 ** 4, 2 ** 62 - 1, 2 ** 63 -
 @given(st.lists(st.tuples(ids, floats), max_size=20))
 @example([(1, 123456789012.5), (2, 999999999999.5), (3, -0.0), (4, 5e-324),
           (5, 99999999999.95), (6, 9.99999999999995e-05), (7, float("nan"))])
+@example([(1, 999999999999.5), (2, neighbours(999999999999.5, -1)), (3, 1e-4),
+          (4, neighbours(1e-4, -1)), (5, -999999999999.5), (6, -neighbours(1e-4, -1)),
+          (7, 9.9999999999996), (8, -0.00099999999999996)])      # rounded up to 10**(e + 1)
 def test_int_and_float_columns(pairs):
     keys = np.array([k for k, _ in pairs], dtype=np.int64)
     values = np.array([v for _, v in pairs], dtype=np.float64)
