@@ -295,7 +295,7 @@ def _count_line(line_no: int, raw: str) -> tuple[float] | None:
         raise EmpiricalParseError(line_no, f"non-finite count {token!r}")
     if value < 0:
         raise EmpiricalParseError(line_no, f"negative count {value}")
-    return (value,)
+    return (value or 0.0,)      # "-0" is the count 0, not -0.0
 
 
 def empirical_ingest(text: str, target_mean: float) -> EmpiricalResult:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import DirectedGraph
+from .graph import _ID_LIMIT, DirectedGraph
 
 
 class ConfigError(ValueError):
@@ -43,8 +43,8 @@ class FormationConfig:
     def __post_init__(self):
         if self.model not in MODELS:
             raise ConfigError(f"unknown model {self.model!r}, expected one of {MODELS}")
-        if not is_integer(self.n) or self.n < 2:
-            raise ConfigError(f"n must be an integer >= 2, got {self.n!r}")
+        if not is_integer(self.n) or not 2 <= self.n < _ID_LIMIT:
+            raise ConfigError(f"n must be an integer in [2, 2**62), got {self.n!r}")
         if not is_integer(self.seed) or self.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         if not is_integer(self.m_cap) or self.m_cap < 1:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .lines import digit_runs, rows, scan_lines
 
-_ID_LIMIT = 2 ** 62     # node ids stay clear of int64 overflow
+_ID_LIMIT = 2 ** 62     # node ids and counts stay clear of int64 overflow
 
 
 class GraphError(ValueError):
@@ -168,8 +168,8 @@ class DirectedGraph:
         creation order. Raises GraphError for a bad n or for the first edge
         that breaks a rule (see `_check_edges`). Edges already in node order
         are stored as given; others are sorted by source, stably."""
-        if not isinstance(n, (int, np.integer)) or n < 2:
-            raise GraphError(f"node count must be an integer >= 2, got {n!r}")
+        if not isinstance(n, (int, np.integer)) or not 2 <= n < _ID_LIMIT:
+            raise GraphError(f"node count must be an integer in [2, 2**62), got {n!r}")
         n = int(n)
         src = np.asarray(src, dtype=np.int64)
         dst = np.array(dst, dtype=np.int64)     # a copy: the graph owns its arrays

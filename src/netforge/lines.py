@@ -11,11 +11,12 @@ a regular line both rules give the same value. The lines are the ones
 `rows` writes columns of numbers as CSV rows, byte for byte as Python's
 ``%d``, ``%.12g`` and (for a `Fixed2` column) ``%.2f`` write them, with numpy
 digit tables. A float is scaled by an exact power of ten, so the product is
-rounded once, and its `rint` is proven unless the product is on a half (see
-`rint_scaled`). ``%.12g`` is written in bulk only in its fixed notation
-(1e-4 <= |x| < 999999999999.5, and 0); a value in exponent form, a
-non-finite one and one whose rounding is not proven go through Python's
-``%``.
+rounded once, and `rint_scaled` proves its `rint` unless the product is on a
+half. ``%.12g`` is written in bulk only for non-negative values in its fixed
+notation (1e-4 <= x < 999999999999.5, and +0), with the exponent read from a
+table of exact powers of ten; a negative value, -0, a value in exponent
+form, a non-finite one, one that rounds up to the next power of ten and one
+whose rounding is not proven go through Python's ``%``.
 """
 
 from __future__ import annotations
@@ -106,31 +107,31 @@ _QUADS = _words(_DIGITS4)      # k -> the 4 digits of k, zero-padded
 _CENTS = _words(np.column_stack((np.full(100, ord(".")), _DIGITS4[:100, 2:],
                                  np.zeros(100))))     # k < 100 -> "." and 2 digits
 _QUAD_ZEROS = sum((_k % 10 ** j == 0).astype(np.int8) for j in (1, 2, 3, 4))  # 4 for 0
-# for the leading 4 of 12 digits, 0 only when all are: the 12 zeros of 0 then
-# count as 11, so that 0 is written as "0"
-_TOP_ZEROS = np.minimum(_QUAD_ZEROS, 3)
 del _k, _DIGITS4
 _POW10 = 10 ** np.arange(1, 19, dtype=np.int64)    # an int64 has < 20 digits
 _SCALE = (10 ** np.arange(16)).astype(np.float64)     # 10**k, exact below 2**53
+# 10**e for -4 <= e < 12, as floats: exact from e = 0, and for e < 0 the
+# nearest float lies above 10**e and the float below it below, so x >= _TENS[e + 4]
+# exactly when x >= 10**e
+_TENS = 10.0 ** np.arange(-4, 12)
 
 # A %.12g field in fixed notation holds a value's 12 rounded digits d0..d11
 # and exponent e (d0.d1...d11 * 10**e, -4 <= e < 12) at fixed bytes of its
 # 32-byte template, in words:
-#   ",-0_"  d0-d3 d4-d7 d8-d11 (integer part)  ".000"  d0-d3 d4-d7 d8-d11 (fraction part)
-# (_ is never kept). Its mask depends on the sign, e and the count k of
-# digits left once trailing zeros are stripped.
-_FLOAT_TEMPLATE = b",-0\0" + b"0" * 12 + b".000" + b"0" * 12
+#   ",_0_"  d0-d3 d4-d7 d8-d11 (integer part)  ".000"  d0-d3 d4-d7 d8-d11 (fraction part)
+# (_ is never kept). Its mask depends on e and the count k of digits left
+# once trailing zeros are stripped.
+_FLOAT_TEMPLATE = b",_0_" + b"0" * 12 + b".000" + b"0" * 12
 
 
 def _float_keep() -> np.ndarray:
-    """(2 * 16 * 12, 32) masks, row neg * 192 + 12 * (e + 4) + k - 1."""
-    neg = np.arange(2)[:, None, None, None]
-    e = np.arange(-4, 12)[None, :, None, None]
-    k = np.arange(1, 13)[None, None, :, None]
+    """(16 * 12, 32) masks, row 12 * (e + 4) + k - 1."""
+    e = np.arange(-4, 12)[:, None, None]
+    k = np.arange(1, 13)[None, :, None]
     j = np.arange(len(_FLOAT_TEMPLATE))
     first_fraction = np.maximum(e + 1, 0)   # the first digit after the point
     a, z, b = j - 4, j - 17, j - 20         # offsets in each part
-    keep = (j == 0) | ((j == 1) & (neg == 1)) | ((j == 2) & (e < 0))
+    keep = (j == 0) | ((j == 2) & (e < 0))
     keep = keep | ((0 <= a) & (a <= e))     # 123.45
     keep = keep | ((j == 16) & (k > first_fraction))
     keep = keep | ((0 <= z) & (z < -e - 1))     # 0.0012345
@@ -145,7 +146,8 @@ def rint_scaled(x: np.ndarray, scale: float) -> tuple[np.ndarray, np.ndarray]:
     """(r, proven): r = rint(x * scale) as floats, and a mask of where r is
     the integer nearest the exact product x * scale, as Python's correctly
     rounded conversions (``round``, ``%.2f``) find it. scale must be a float
-    that is exact, such as 10**k for k <= 22.
+    that is exact, such as 10**k for k <= 22, or an array of such floats,
+    one per value.
 
     The product is then rounded once, by at most half a unit u of its last
     place. Below 2**52 both r and 0.5 are multiples of u, so a product that
@@ -196,8 +198,9 @@ class _IntField:
 
 class _FloatField:
     """Floats as %.12g: by float arithmetic where %.12g writes the fixed
-    notation (1e-4 <= |x| < 999999999999.5, and 0) and one rounding proves
-    its digits, and by Python's % elsewhere."""
+    notation of a value with its sign bit clear (1e-4 <= x < 999999999999.5,
+    and +0) and `rint_scaled` proves its 12 digits, and by Python's %
+    elsewhere."""
 
     template = _FLOAT_TEMPLATE
 
@@ -206,32 +209,26 @@ class _FloatField:
 
     def write(self, lo: int, hi: int, text: np.ndarray, keep: np.ndarray) -> None:
         x = self.values[lo:hi]
-        a = np.abs(x)
-        fixed = (a >= 1e-4) & (a < 999999999999.5)     # NaN compares false
-        e = np.clip(np.floor(np.log10(np.where(fixed, a, 1.0))), -4, 11).astype(np.int64)
-        m = np.where(fixed, a, 0.0) * _SCALE.take(11 - e)
-        # m is |x| * 10**(11 - e) rounded once, so, as in rint_scaled, its
-        # rint is the exact product's unless m is on a half. Where log10 put
-        # e one off near a power of ten, m is outside [1e11, 1e12); such
-        # values, and those outside the range or on a half, go to Python.
-        r = np.rint(m)
-        exact = (m >= 1e11) & (m < 1e12) & (np.abs(m - r) != 0.5)
+        fixed = (x >= 1e-4) & (x < 999999999999.5)     # NaN compares false
+        e = np.searchsorted(_TENS, np.where(fixed, x, 1.0), side="right") - 5
+        # x * 10**(11 - e) is in [1e11, 1e12); a product rounded to 1e12
+        # carries into the next exponent and goes to Python
+        r, exact = rint_scaled(np.where(fixed, x, 0.0), _SCALE.take(11 - e))
+        exact &= fixed & (r < 1e12)
         r = (r * exact).astype(np.int64)        # 0, written as "0", where not exact
-        carry = r == 10 ** 12                   # never at e = 11: there m < 999999999999.5
-        r -= carry * (9 * 10 ** 11)
-        e += carry
         high = r // 10 ** 8
         mid = r // 10 ** 4
         low = r - mid * 10 ** 4
         mid -= high * 10 ** 4
         zeros = _QUAD_ZEROS.take(low) + (low == 0) * (
-            _QUAD_ZEROS.take(mid) + (mid == 0) * _TOP_ZEROS.take(high))
-        row = 12 * (e + 4) + np.signbit(x) * 192 + (11 - zeros)
-        keep[:] = _FLOAT_KEEP.take(row, axis=0)
+            _QUAD_ZEROS.take(mid) + (mid == 0) * _QUAD_ZEROS.take(high))
+        # the 12 zeros of 0 count as 11, so that 0 is written as "0"
+        keep[:] = _FLOAT_KEEP.take(12 * (e + 4) + 11 - np.minimum(zeros, 11), axis=0)
         words = text.view(np.uint32)
         for j, part in ((1, high), (2, mid), (3, low)):
             words[:, j] = words[:, j + 4] = _QUADS.take(part)
-        other = np.flatnonzero(~(exact | (x == 0)))     # NaN, inf, exponent form, halves
+        # negatives, -0, NaN, inf, exponent form, carries and halves
+        other = np.flatnonzero(~(exact | (x == 0)) | np.signbit(x))
         if len(other):
             _splice(text, keep, other, np.array(
                 [("%.12g" % v).encode() for v in x[other].tolist()],

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import re
 import shutil
 import warnings
 
@@ -397,6 +398,96 @@ class TestEmpirical:
         assert "target_mean" in err
         assert not out_dir.exists()
 
+    def test_negative_zero_count_written_as_zero(self, tmp_path, capsys):
+        data = tmp_path / "counts.csv"
+        data.write_text("user,followers\n1,-0\n2,5\n3,+7\n")
+        out_dir = tmp_path / "out"
+        code, _, _ = run(capsys, "empirical", "--in", str(data),
+                         "--target-mean", "5", "--out", str(out_dir))
+        assert code == 0
+        assert (out_dir / "rank_curve.csv").read_text().splitlines()[1:] == [
+            "1,8.75", "2,6.25", "3,0"]
+
+
+# -- node counts past the id bound --------------------------------------------
+
+_HUGE_NS = (2 ** 62, 2 ** 63 - 1, 2 ** 63, 10 ** 30)
+
+
+def _huge_n_examples(make):
+    """One hypothesis @example per node count in _HUGE_NS: make(n) gives its
+    arguments."""
+    def decorate(test):
+        for n in _HUGE_NS:
+            test = example(**make(n))(test)
+        return test
+    return decorate
+
+
+@pytest.mark.parametrize("n", _HUGE_NS)
+@pytest.mark.parametrize("command", ["generate", "metrics", "experiment", "sweep"])
+def test_node_count_bound_exit_1(tmp_path, capsys, command, n):
+    spec = {"model": "hybrid", "n": n, "m_cap": 5, "p": 0.5}
+    if command == "sweep":
+        spec = {**spec, "p": None, "sweep": [0.5]}
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    (tmp_path / "edges.csv").write_text("1,2\n2,3\n")
+    argv = {"generate": ["--model", "merit", "--n", str(n), "--m", "5", "--seed", "1"],
+            "metrics": ["--in", str(tmp_path / "edges.csv"), "--n", str(n)],
+            "experiment": ["--spec", str(tmp_path / "spec.json"), "--out", str(tmp_path / "o")],
+            "sweep": ["--spec", str(tmp_path / "spec.json"), "--out", str(tmp_path / "o")]}
+    code, out, err = run(capsys, command, *argv[command])
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "2**62" in err
+    assert not (tmp_path / "o").exists()
+
+
+# -- every export holds non-negative finite numbers ----------------------------
+
+def _bad_numbers(tokens):
+    return [t for t in tokens if t.startswith("-") or t.lower() in ("nan", "inf")]
+
+
+def test_exports_carry_no_sign_nan_or_inf(tmp_path, capsys):
+    """The bulk %.12g writer handles only values whose sign bit is clear:
+    every number netforge exports is one."""
+    out = tmp_path / "out"
+    out.mkdir()
+    for model, extra in [("merit", []), ("matthew", []), ("hybrid", ["--p", "0.5"]),
+                         ("er", ["--density", "0.1"])]:
+        assert main(["generate", "--model", model, "--n", "40", "--m", "3", "--seed", "2",
+                     "--out", str(out / f"{model}.edges"), *extra]) == 0
+    for formula in sorted(CURVE_FUNCS):
+        assert main(["theory", "--formula", formula, "--n", "8", "--m", "2",
+                     "--out", str(out / f"theory_{formula}.csv")]) == 0
+    for model, p in [("meritocracy", None), ("hybrid", 0.5)]:
+        spec = tmp_path / f"{model}.json"
+        spec.write_text(json.dumps({"model": model, "n": 60, "m_cap": 3, "p": p,
+                                    "runs": 2, "emit_plots": True}))
+        assert main(["experiment", "--spec", str(spec), "--out", str(out / model)]) == 0
+    spec = tmp_path / "sweep.json"
+    spec.write_text(json.dumps({"model": "hybrid", "n": 60, "m_cap": 3, "runs": 2,
+                                "sweep": [0.0, 0.5, 1.0]}))
+    assert main(["sweep", "--spec", str(spec), "--out", str(out / "sweep")]) == 0
+    counts = tmp_path / "counts.csv"
+    counts.write_text("user,followers\na,-0\nb,+3\nc, 0 \nd,12\ne,0.5\n")
+    assert main(["empirical", "--in", str(counts), "--target-mean", "5",
+                 "--out", str(out / "empirical")]) == 0
+    capsys.readouterr()
+    tables = sorted(out.rglob("*.csv")) + sorted(out.glob("*.edges"))
+    assert len(tables) == 4 + 5 + 2 * 2 + 4 + 1
+    for path in tables:
+        lines = path.read_text().splitlines()
+        data = lines if path.suffix == ".edges" else lines[1:]
+        assert data and not _bad_numbers([t for row in data for t in row.split(",")]), path
+    charts = sorted(out.rglob("*.svg"))
+    assert len(charts) == 2 * 2
+    for path in charts:
+        points = re.findall(r'points="([^"]*)"', path.read_text())
+        coords = [c for pts in points for pair in pts.split() for c in pair.split(",")]
+        assert coords and not _bad_numbers(coords), path
+
 
 # -- fuzz: any small argv ends in an exit code, never an exception -----------
 
@@ -420,16 +511,16 @@ def _theory_argv(draw):
     return argv + draw(st.sampled_from([[], ["--check-crossing"]]))
 
 
+_EDGES = st.lists(st.tuples(st.integers(1, 30), st.integers(1, 30)).filter(
+    lambda e: e[0] != e[1]), unique=True, max_size=60)
+
+
 @st.composite
-def _metrics_argv(draw, edge_file):
-    ids = st.integers(1, 30)
-    edges = draw(st.lists(st.tuples(ids, ids).filter(lambda e: e[0] != e[1]),
-                          unique=True, max_size=60))
-    edge_file.write_text("".join(f"{a},{b}\n" for a, b in edges))
-    argv = ["metrics", "--in", str(edge_file), "--xmin", str(draw(st.integers(1, 12)))]
+def _metrics_options(draw):
+    options = ["--xmin", str(draw(st.integers(1, 12)))]
     if draw(st.booleans()):
-        argv += ["--n", draw(_SIZES)]
-    return argv + draw(st.sampled_from([[], ["--full"]]))
+        options += ["--n", draw(_SIZES)]
+    return options + draw(st.sampled_from([[], ["--full"]]))
 
 
 # counts and target means from small integers up to the largest finite float
@@ -465,15 +556,19 @@ _SPEC_VALUES = {
 
 
 @st.composite
-def _spec_argv(draw, spec_file, out_dir):
+def _specs(draw):
     keys = draw(st.lists(st.sampled_from(sorted(_SPEC_VALUES)), unique=True))
-    spec = {k: draw(st.one_of(_SPEC_VALUES[k], _JUNK)) for k in keys}
-    spec_file.write_text(json.dumps(spec))
+    return {k: draw(st.one_of(_SPEC_VALUES[k], _JUNK)) for k in keys}
+
+
+@st.composite
+def _spec_commands(draw):
+    """The command and its options after --spec and --out."""
     command = draw(st.sampled_from(["experiment", "sweep"]))
-    argv = [command, "--spec", str(spec_file), "--out", str(out_dir)]
     if command == "sweep" and draw(st.booleans()):
-        argv += ["--p", ",".join(map(repr, draw(st.lists(st.floats(-0.5, 1.5), max_size=3))))]
-    return argv
+        return [command, "--p", ",".join(map(repr, draw(st.lists(st.floats(-0.5, 1.5),
+                                                                 max_size=3))))]
+    return [command]
 
 
 @pytest.fixture(scope="module")
@@ -496,6 +591,8 @@ def _exit_code(argv, time_limit):
 
 @settings(max_examples=200, deadline=None)
 @given(argv=_generate_argv())
+@_huge_n_examples(lambda n: {"argv": ["generate", "--model", "merit", "--n", str(n), "--m",
+                                      "5", "--seed", "1", "--p", "0.5", "--density", "0.5"]})
 @example(argv=["generate", "--model", "er", "--n", "50", "--m", "1", "--seed", "0",
                "--p", "0.0", "--density", "5e-324"])
 @example(argv=["generate", "--model", "hybrid", "--n", "3", "--m", "2", "--seed", "0",
@@ -511,15 +608,24 @@ def test_fuzz_theory_exit_codes(argv, time_limit):
 
 
 @settings(max_examples=100, deadline=None)
-@given(data=st.data())
-def test_fuzz_metrics_exit_codes(data, edge_file, time_limit):
-    assert _exit_code(data.draw(_metrics_argv(edge_file)), time_limit) in (0, 1, 2, 3)
+@given(edges=_EDGES, options=_metrics_options())
+@_huge_n_examples(lambda n: {"edges": [(1, 2), (2, 3)], "options": ["--n", str(n)]})
+def test_fuzz_metrics_exit_codes(edges, options, edge_file, time_limit):
+    edge_file.write_text("".join(f"{a},{b}\n" for a, b in edges))
+    argv = ["metrics", "--in", str(edge_file), *options]
+    assert _exit_code(argv, time_limit) in (0, 1, 2, 3)
 
 
 @settings(max_examples=150, deadline=None)
-@given(data=st.data())
-def test_fuzz_spec_exit_codes(data, fuzz_dir, time_limit):
-    argv = data.draw(_spec_argv(fuzz_dir / "spec.json", fuzz_dir / "out"))
+@given(spec=_specs(), command=_spec_commands())
+@_huge_n_examples(lambda n: {"spec": {"model": "meritocracy", "n": n, "m_cap": 5},
+                             "command": ["experiment"]})
+@_huge_n_examples(lambda n: {"spec": {"model": "hybrid", "n": n, "m_cap": 5,
+                                      "sweep": [0.5]}, "command": ["sweep"]})
+def test_fuzz_spec_exit_codes(spec, command, fuzz_dir, time_limit):
+    (fuzz_dir / "spec.json").write_text(json.dumps(spec))
+    argv = [command[0], "--spec", str(fuzz_dir / "spec.json"),
+            "--out", str(fuzz_dir / "out"), *command[1:]]
     out, err = io.StringIO(), io.StringIO()
     with time_limit(10), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)

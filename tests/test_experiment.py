@@ -425,6 +425,11 @@ class TestEmpiricalIngest:
         with pytest.raises(EmpiricalParseError, match="zero"):
             empirical_ingest("0\n0\n", target_mean=1.0)
 
+    def test_negative_zero_count_is_zero(self):
+        res = empirical_ingest("user,followers\n1,-0\n2,5\n3,+7\n4, -0.0 \n", target_mean=5.0)
+        assert res.n == 4 and list(res.normalized_counts[2:]) == [0.0, 0.0]
+        assert not np.signbit(res.normalized_counts).any()
+
     @pytest.mark.parametrize("target", [float("nan"), float("inf"), -5.0, 0, "5", True])
     def test_bad_target_mean_rejected(self, target):
         with pytest.raises(ValueError, match="target_mean"):
@@ -510,4 +515,5 @@ def test_ingest_matches_reference(lines, header, newline, final_newline):
     assert expected[0] is not EmpiricalParseError, expected
     counts, g, scale, n = expected
     assert np.array_equal(res.normalized_counts, counts)
+    assert not np.signbit(res.normalized_counts).any()      # a "-0" count is 0
     assert (res.gini, res.scale, res.n) == (g, scale, n)

@@ -3,13 +3,14 @@ byte of its output must be what the % operator writes."""
 
 import struct
 from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from netforge.lines import SLICE, Fixed2, rows
+from netforge.lines import _TENS, SLICE, Fixed2, rows
 
 
 def reference(*columns) -> str:
@@ -45,8 +46,12 @@ floats = st.one_of(
               st.integers(10 ** 11, 10 ** 12 - 1), st.integers(-320, 300),
               st.integers(-2, 2)),
     st.builds(neighbours, st.sampled_from([1e-5, 1e-4, neighbours(1e-4, -1), 1e11, 1e12,
-                                           999999999999.5, 1e-300, 1e300]),
+                                           999999999999.5, 1e-300, 1e300]
+                                          + [float(f"1e{k}") for k in range(-3, 11)]),
               st.integers(-3, 3)),
+    # 12 nines and a half at each exponent: %.12g carries it to the next power of ten
+    st.builds(lambda j, s: neighbours(nearest_tie(10 ** 12 - 1, j), s),
+              st.integers(-15, 0), st.integers(-2, 2)),
     st.integers(-2 ** 53, 2 ** 53).map(float),
 )
 ids = st.one_of(st.sampled_from([0, 9, 10, 9999, 10 ** 4, 2 ** 62 - 1, 2 ** 63 - 1]),
@@ -64,6 +69,13 @@ def test_int_and_float_columns(pairs):
     keys = np.array([k for k, _ in pairs], dtype=np.int64)
     values = np.array([v for _, v in pairs], dtype=np.float64)
     assert rows([keys, values]) == reference(keys, values)
+
+
+def test_exponent_table_is_exact():
+    """x >= _TENS[e + 4] exactly when x >= 10**e, for every float x."""
+    for k in range(-4, 12):
+        power = _TENS[k + 4]
+        assert Fraction(float(power)) >= Fraction(10) ** k > Fraction(neighbours(power, -1))
 
 
 @settings(max_examples=200, deadline=None)
