@@ -19,7 +19,7 @@ from .formation import (FormationConfig, generate, is_integer, is_real,
                         matched_er_density)
 from .lines import digit_runs, rint_scaled, rows, scan_lines
 from .metrics import (DEFAULT_XMIN, MetricsReport, compute_report,
-                      degree_distribution, gini, path_stats)
+                      degree_distribution, degree_report, gini, path_stats)
 from .plotting import loglog_svg
 
 
@@ -200,14 +200,21 @@ class SweepRow:
 
 
 def hybrid_sweep(spec: ExperimentSpec) -> list[SweepRow]:
-    """One hybrid batch per spec.sweep value. The headline Gini is taken over the
-    per-node mean in-degree curve (the empirical estimate of each node's expected
-    in-degree); the sorted-curve and per-run Ginis are reported alongside."""
+    """One hybrid batch per spec.sweep value, run as run_batch would run it
+    (seeds seed_base + r), but each run's report holds its in-degree facts
+    only (metrics.degree_report): a sweep row reads nothing else, so no
+    clustering or path statistics are computed, whatever spec.full_metrics
+    says. The headline Gini is taken over the per-node mean in-degree curve
+    (the empirical estimate of each node's expected in-degree); the
+    sorted-curve and per-run Ginis are reported alongside."""
     if not spec.sweep:
         raise SpecError("hybrid_sweep requires a non-empty spec.sweep")
     rows = []
     for p in spec.sweep:
-        rs = run_batch(replace(spec, p=float(p), sweep=None))
+        batch = replace(spec, p=float(p), sweep=None)
+        rs = ResultSet(spec=batch, reports=[
+            degree_report(generate(batch.config_for_run(r)).in_degree, xmin=batch.xmin)
+            for r in range(batch.runs)])
         run_gini = rs.scalar_stats["gini"]
         rows.append(SweepRow(
             p=float(p),

@@ -6,7 +6,7 @@ All operations are read-only; graphs are treated as immutable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 from typing import NamedTuple
 
@@ -106,12 +106,13 @@ def path_stats(g: DirectedGraph) -> PathStats:
 
     Multi-source BFS (Then et al., VLDB 2014) on the reversed graph: a BFS
     from j along in-links reaches each i that reaches j, at level d(i, j), so
-    it finds the same multiset of distances. The roots j are taken in
-    blocks of 64 per uint64 word, W words per node, and node i's frontier
-    bits are the roots whose BFS reached i at the level before. One level
-    pulls, for every node, the OR of its out-neighbours' bits, and keeps the
-    bits not yet seen: those are the pairs at that distance. The pull reads
-    the out-lists as stored; no sort by target is needed.
+    it finds the same multiset of distances. The roots j are the nodes with
+    an in-link, since no other node reaches a node without one. They are
+    taken in blocks of 64 per uint64 word, W words per node, and node i's
+    frontier bits are the roots whose BFS reached i at the level before. One
+    level pulls, for every node, the OR of its out-neighbours' bits, and keeps
+    the bits not yet seen: those are the pairs at that distance. The pull
+    reads the out-lists as stored; no sort by target is needed.
 
     Nodes are relabelled once by descending out-degree, ties by id (one
     argsort of the distinct keys -out * n + id), so the rows with a c-th
@@ -161,9 +162,10 @@ def path_stats(g: DirectedGraph) -> PathStats:
     tail = nb[np.repeat(head[:long] + _COLUMNS - starts, rest) + np.arange(rest.sum())]
     active = np.zeros(n, dtype=bool)
     diameter, total, count = 0, 0, 0
-    for first in range(0, n, 64 * words):
-        ids = np.arange(min(64 * words, n - first), dtype=np.uint64)
-        rows = first + ids.astype(np.int64)             # frontier rows with bits
+    roots = np.flatnonzero(indeg)
+    for first in range(0, len(roots), 64 * words):
+        rows = roots[first:first + 64 * words]          # frontier rows with bits
+        ids = np.arange(len(rows), dtype=np.uint64)
         frontier = np.zeros((n, -(-len(ids) // 64)), dtype=np.uint64)
         frontier[rows, ids >> 6] = np.uint64(1) << (ids & 63)
         unseen, spare = ~frontier, np.empty_like(frontier)
@@ -293,23 +295,31 @@ class MetricsReport:
         return d
 
 
-def compute_report(g: DirectedGraph, xmin: int = DEFAULT_XMIN,
-                   with_paths: bool = False) -> MetricsReport:
-    """Assemble a MetricsReport. Path statistics are opt-in (all-source BFS is
-    the expensive part); alpha_hat is None when the tail is too small."""
-    indeg, _ = g.degrees_snapshot()
+def degree_report(indegree: np.ndarray, xmin: int = DEFAULT_XMIN) -> MetricsReport:
+    """The in-degree facts of one graph as a MetricsReport: the vector (kept,
+    not copied), alpha_hat (None when the tail is too small) and Gini. The
+    structural fields, clustering and path statistics, are None."""
     try:
-        alpha = fit_power_law(indeg, xmin=xmin)
+        alpha = fit_power_law(indegree, xmin=xmin)
     except InsufficientDataError:
         alpha = None
-    g_coef = gini(indeg) if indeg.sum() > 0 else 0.0
-    diam, apl = path_stats(g) if with_paths else (None, None)
     return MetricsReport(
-        indegree=indeg,
+        indegree=indegree,
         alpha_hat=alpha,
         xmin_used=xmin,
-        gini=g_coef,
-        diameter=diam,
-        avg_path_length=apl,
-        avg_clustering=clustering(g)[1],
+        gini=gini(indegree) if indegree.sum() > 0 else 0.0,
+        diameter=None,
+        avg_path_length=None,
+        avg_clustering=None,
     )
+
+
+def compute_report(g: DirectedGraph, xmin: int = DEFAULT_XMIN,
+                   with_paths: bool = False) -> MetricsReport:
+    """degree_report of g's in-degrees with the structural fields filled in:
+    average clustering always, path statistics when with_paths is set
+    (all-source BFS is the expensive part)."""
+    indeg, _ = g.degrees_snapshot()
+    diam, apl = path_stats(g) if with_paths else (None, None)
+    return replace(degree_report(indeg, xmin), diameter=diam, avg_path_length=apl,
+                   avg_clustering=clustering(g)[1])

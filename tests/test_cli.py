@@ -137,6 +137,18 @@ class TestMetrics:
         assert rep["degree_histogram"] == {"0": 1, "1": 1, "2": 1}
         assert rep["alpha_hat"] is None
 
+    def test_full_on_one_edge_to_a_far_id(self, tmp_path, capsys, time_limit):
+        # a million nodes, one of them with an in-link: one BFS root, not a
+        # million (the path statistics took 46 s when every node was a root)
+        edges = tmp_path / "g.csv"
+        edges.write_text("1,1000000\n")
+        with time_limit(5):
+            code, out, _ = run(capsys, "metrics", "--in", str(edges), "--full")
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["diameter"] == 1 and rep["avg_path_length"] == 1.0
+        assert rep["degree_histogram"] == {"0": 999_999, "1": 1}
+
     def test_xmin_below_one_exit_1(self, tmp_path, capsys):
         edges = tmp_path / "g.csv"
         edges.write_text("".join(f"{i},1\n" for i in range(2, 80)))
@@ -200,6 +212,27 @@ class TestExperiment:
         assert code == 0
         assert (sweep_dir / "sweep_gini.csv").exists()
 
+    def test_sweep_full_metrics_writes_the_same_sweep(self, tmp_path, capsys):
+        # full_metrics belongs to batches: a sweep computes no path statistics
+        # and its files differ only in the flag its provenance records
+        written = {}
+        for full in (False, True):
+            spec = tmp_path / f"spec_{full}.json"
+            spec.write_text(json.dumps({"model": "hybrid", "n": 30, "m_cap": 2, "runs": 2,
+                                        "sweep": [0.0, 0.5, 1.0], "full_metrics": full}))
+            out_dir = tmp_path / f"out_{full}"
+            assert run(capsys, "sweep", "--spec", str(spec), "--out", str(out_dir))[0] == 0
+            written[full] = {f.name: f.read_bytes() for f in out_dir.iterdir()}
+        plain, full = written[False], written[True]
+        assert sorted(plain) == sorted(full)
+        assert {k: v for k, v in plain.items() if k != "provenance.json"} == {
+            k: v for k, v in full.items() if k != "provenance.json"}
+        provenance = json.loads(full["provenance.json"])
+        for batch in provenance:
+            assert batch["spec"]["full_metrics"] is True
+            batch["spec"]["full_metrics"] = False
+        assert provenance == json.loads(plain["provenance.json"])
+
     def test_sweep_p_override(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"model": "hybrid", "n": 20, "m_cap": 2,
@@ -217,7 +250,7 @@ class TestExperiment:
         ({"p": 0.5}, "0.25,0.7500001,0.75")])
     def test_colliding_sweep_labels_exit_1(self, tmp_path, capsys, monkeypatch,
                                            spec_fields, p_arg):
-        monkeypatch.setattr(experiment, "run_batch", _no_batch)
+        monkeypatch.setattr(experiment, "generate", _no_batch)
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"model": "hybrid", "n": 20, "m_cap": 2, "runs": 1,
                                     **spec_fields}))
@@ -229,7 +262,7 @@ class TestExperiment:
         assert not out_dir.exists()
 
     def test_sweep_p_out_of_range_exit_1(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(experiment, "run_batch", _no_batch)
+        monkeypatch.setattr(experiment, "generate", _no_batch)
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"model": "hybrid", "n": 20, "m_cap": 2, "p": 0.5}))
         out_dir = tmp_path / "out"
@@ -241,7 +274,7 @@ class TestExperiment:
 
     @pytest.mark.parametrize("command", ["experiment", "sweep"])
     def test_sweep_on_non_hybrid_exit_1(self, tmp_path, capsys, monkeypatch, command):
-        monkeypatch.setattr(experiment, "run_batch", _no_batch)
+        monkeypatch.setattr(experiment, "generate", _no_batch)
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"model": "matthew", "n": 20, "m_cap": 2,
                                     "sweep": [0.5]}))

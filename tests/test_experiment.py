@@ -16,7 +16,7 @@ from netforge import (EmpiricalParseError, ExperimentSpec, SpecError,
                       degree_distribution, empirical_ingest, export_results,
                       export_sweep, gini, hybrid_sweep, run_batch,
                       small_world_scaling)
-from netforge import experiment
+from netforge import experiment, metrics
 from test_lines import from_bits, nearest_tie, neighbours
 
 
@@ -316,16 +316,40 @@ class TestExports:
 
 class TestSweep:
     def test_rows_match_direct_batches(self):
-        s = spec(model="hybrid", n=40, m_cap=2, runs=2, sweep=[0.0, 1.0])
+        # each sweep report holds the in-degree facts of run_batch's report for
+        # the same p and seed, bit for bit, and no structural statistics, even
+        # where the batch computes path statistics
+        s = spec(model="hybrid", n=300, m_cap=3, runs=2, xmin=3, sweep=[0.0, 0.5, 1.0],
+                 full_metrics=True)
         rows = hybrid_sweep(s)
-        assert [row.p for row in rows] == [0.0, 1.0]
+        assert [row.p for row in rows] == [0.0, 0.5, 1.0]
         for row in rows:
-            direct = run_batch(ExperimentSpec(model="hybrid", n=40, m_cap=2,
-                                              runs=2, seed_base=5, p=row.p))
-            assert np.allclose(row.result.per_node_mean_indegree,
-                               direct.per_node_mean_indegree)
-            assert row.gini_expected_curve == pytest.approx(
-                gini(direct.per_node_mean_indegree))
+            direct = run_batch(dataclasses.replace(s, p=row.p, sweep=None))
+            assert row.result.spec == direct.spec
+            assert np.array_equal(row.result.per_node_mean_indegree,
+                                  direct.per_node_mean_indegree)
+            assert row.gini_expected_curve == gini(direct.per_node_mean_indegree)
+            for got, want in zip(row.result.reports, direct.reports, strict=True):
+                assert got.indegree.dtype == want.indegree.dtype
+                assert np.array_equal(got.indegree, want.indegree)
+                assert (got.gini, got.alpha_hat, got.xmin_used) == (
+                    want.gini, want.alpha_hat, want.xmin_used)
+                assert got.alpha_hat is not None
+                assert got.avg_clustering is None and want.avg_clustering is not None
+                assert got.diameter is got.avg_path_length is None
+                assert want.diameter is not None
+
+    @pytest.mark.parametrize("name", ["clustering", "path_stats"])
+    def test_computes_no_structural_statistics(self, monkeypatch, name):
+        def structural(g):
+            raise AssertionError(f"{name} ran")
+        for module in (metrics, experiment):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, structural)
+        s = spec(model="hybrid", n=40, m_cap=2, runs=2, full_metrics=True, sweep=[0.5, 1.0])
+        assert len(hybrid_sweep(s)) == 2
+        with pytest.raises(AssertionError, match=f"{name} ran"):
+            run_batch(dataclasses.replace(s, p=0.5, sweep=None))
 
     def test_requires_p_values(self):
         with pytest.raises(SpecError):
@@ -358,7 +382,7 @@ class TestSweep:
     def test_colliding_labels_rejected(self, monkeypatch, sweep):
         def no_batch(spec):
             raise AssertionError("a batch ran before the labels were checked")
-        monkeypatch.setattr(experiment, "run_batch", no_batch)
+        monkeypatch.setattr(experiment, "generate", no_batch)
         with pytest.raises(SpecError, match="distinct labels"):
             hybrid_sweep(spec(model="hybrid", n=20, m_cap=2, p=0.5, sweep=sweep))
 

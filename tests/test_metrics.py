@@ -200,14 +200,19 @@ class TestPathStats:
     def test_matches_networkx_mixed_depths(self, monkeypatch, words):
         # a 120-node chain runs its first sources for over 100 levels while
         # the clique's die out after 2; sinks and isolated nodes never expand.
-        # Ids are shuffled, so every 64-source word mixes sources of all kinds
-        n = 200
+        # Nodes with out-links but no in-link reach others and are reached by
+        # none, so they are no BFS root. Ids are shuffled, so every 64-source
+        # word mixes sources of all kinds, and the 179 roots take three blocks
+        # at one word
+        n = 260
         edges = {(i, i + 1) for i in range(1, 120)}
         edges |= {(i, j) for i in range(120, 150) for j in range(120, 150) if i != j}
         edges |= {(i, 150 + i % 30) for i in range(100, 150)}     # 150..179 are sinks
-        edges |= {(140, 1), (60, 125)}                             # 180..200 isolated
+        edges |= {(140, 1), (60, 125)}                             # 180..199 isolated
+        edges |= {(i, 7 * i % 179 + 1) for i in range(200, 261)}  # 200..260 have no in-link
         label = np.random.default_rng(0).permutation(n) + 1
         g = graph(n, sorted((int(label[i - 1]), int(label[j - 1])) for i, j in edges))
+        assert np.count_nonzero(g.in_degree) == 179
         if words is not None:
             monkeypatch.setattr(metrics, "_GATHER_BYTES", words * 8 * g.edge_count)
         lengths = [d for s, dist in nx.all_pairs_shortest_path_length(nx.DiGraph(g.edges()))
