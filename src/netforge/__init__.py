@@ -8,7 +8,7 @@ from .formation import (FormationConfig, ConfigError, generate,
                         generate_er_directed, generate_hybrid,
                         generate_matthew, generate_meritocracy,
                         matched_er_density, merit_followee_matrix)
-from .theory import (CrossingReport, CurveSpec, TheoryTable, brute_force_oracle,
+from .theory import (CrossingReport, CurveSpec, brute_force_oracle,
                      exact_expected_indegree, matthew_approx_curve,
                      merit_approx_curve, recursion_table, single_crossing_index)
 from .metrics import (InsufficientDataError, MetricsReport, clustering,
@@ -25,7 +25,7 @@ __all__ = [
     "FormationConfig", "ConfigError", "generate", "generate_meritocracy",
     "generate_matthew", "generate_hybrid", "generate_er_directed",
     "matched_er_density", "merit_followee_matrix",
-    "TheoryTable", "CurveSpec", "CrossingReport", "recursion_table",
+    "CurveSpec", "CrossingReport", "recursion_table",
     "exact_expected_indegree", "merit_approx_curve", "matthew_approx_curve",
     "single_crossing_index", "brute_force_oracle",
     "MetricsReport", "InsufficientDataError", "degree_distribution",

@@ -115,7 +115,7 @@ def path_stats(g: DirectedGraph) -> PathStats:
     reads the out-lists as stored; no sort by target is needed.
 
     Nodes are relabelled once by descending out-degree, ties by id (one
-    argsort of the distinct keys -out * n + id), so the rows with a c-th
+    stable argsort of -out), so the rows with a c-th
     out-neighbour are a prefix of cnt_c rows, and each level
     takes one of two steps (direction-optimizing BFS: Beamer, Asanovic &
     Patterson, SC 2012):

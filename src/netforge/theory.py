@@ -17,29 +17,12 @@ import numpy as np
 
 from .lines import rows
 
-MAX_TABLE_ENTRIES = 1 << 27     # m_cap * n floats recursion_table may allocate: 1 GiB
-
 
 def _validate(n: int, m_cap: int) -> None:
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     if not 1 <= m_cap <= n - 1:
         raise ValueError(f"m_cap must be in [1, n-1], got {m_cap} for n={n}")
-
-
-@dataclass
-class TheoryTable:
-    """Cumulative link-probability matrix: p_table[m-1, i-1] is the expected
-    number of other nodes that link to the rank-i node within their first m
-    out-links. Row m_cap is the expected in-degree curve."""
-
-    n: int
-    m_cap: int
-    p_table: np.ndarray = field(repr=False)
-
-    @property
-    def expected_indegree(self) -> np.ndarray:
-        return self.p_table[-1]
 
 
 @dataclass
@@ -56,24 +39,20 @@ class CurveSpec:
                 + rows([np.arange(1, len(self.values) + 1), self.values]))
 
 
-def recursion_table(n: int, m_cap: int) -> TheoryTable:
-    """Fill the table by downward recursion over ranks:
+def recursion_table(n: int, m_cap: int) -> CurveSpec:
+    """Expected in-degree by downward recursion over the link-probability
+    table, row m being the expected number of other nodes that link to each
+    rank within their first m out-links:
     row(m) at rank i-1 = row(m) at i + row(m-1) at i / (i-1), with row 1 and
-    the last rank pinned to 1. Tables over MAX_TABLE_ENTRIES entries are refused."""
+    the last rank pinned to 1. Only the previous row is kept, so memory is
+    O(n) whatever m_cap is; row m_cap is the curve."""
     _validate(n, m_cap)
-    if m_cap * n > MAX_TABLE_ENTRIES:
-        raise ValueError(f"recursion table of m_cap*n = {m_cap * n} entries exceeds the"
-                         f" limit of {MAX_TABLE_ENTRIES}; use --formula exact"
-                         " (exact_expected_indegree)")
-    table = np.empty((m_cap, n))
-    table[0] = 1.0
-    for m in range(1, m_cap):
-        prev = table[m - 1]
+    row = np.ones(n)
+    for _ in range(1, m_cap):
         contrib = np.zeros(n)
-        contrib[1:] = prev[1:] / np.arange(1, n)
-        suffix = np.concatenate([np.cumsum(contrib[::-1])[::-1][1:], [0.0]])
-        table[m] = 1.0 + suffix
-    return TheoryTable(n=n, m_cap=m_cap, p_table=table)
+        contrib[1:] = row[1:] / np.arange(1, n)
+        row = 1.0 + np.concatenate([np.cumsum(contrib[::-1])[::-1][1:], [0.0]])
+    return CurveSpec(n=n, m_cap=m_cap, values=row, name="recursion")
 
 
 def exact_expected_indegree(n: int, m_cap: int) -> CurveSpec:
@@ -168,8 +147,7 @@ def brute_force_oracle(n: int, m_cap: int) -> CurveSpec:
 
 
 CURVE_FUNCS = {
-    "recursion": lambda n, m: CurveSpec(n, m, recursion_table(n, m).expected_indegree,
-                                        name="recursion"),
+    "recursion": recursion_table,
     "exact": exact_expected_indegree,
     "merit-approx": merit_approx_curve,
     "matthew-approx": matthew_approx_curve,

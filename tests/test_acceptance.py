@@ -76,7 +76,7 @@ def test_criterion_01_theory_consistency():
         for m in (1, 2, 5):
             if m > n - 1:
                 continue
-            rec = recursion_table(n, m).expected_indegree
+            rec = recursion_table(n, m).values
             exact = exact_expected_indegree(n, m).values
             worst = max(worst, float(np.max(np.abs(rec - exact) / exact)))
     elapsed = time.perf_counter() - t0

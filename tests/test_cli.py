@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from netforge import DirectedGraph, exact_expected_indegree, experiment
-from netforge.theory import CURVE_FUNCS, MAX_TABLE_ENTRIES
+from netforge.theory import CURVE_FUNCS
 from netforge.cli import main
 
 
@@ -117,14 +117,15 @@ class TestTheory:
         assert code == 1 and out == ""
         assert err.startswith("error: Unable to allocate") and len(err.splitlines()) == 1
 
-    def test_recursion_size_limit_exit_1(self, capsys, monkeypatch):
-        def no_alloc(*args, **kwargs):
-            raise AssertionError("the table was allocated")
-        monkeypatch.setattr(np, "empty", no_alloc)
-        code, out, err = run(capsys, "theory", "--formula", "recursion",
-                             "--n", str(MAX_TABLE_ENTRIES // 5 + 1), "--m", "5")
-        assert code == 1 and out == ""
-        assert "--formula exact" in err and len(err.splitlines()) == 1
+    def test_recursion_at_large_m_times_n(self, capsys):
+        # M * n = 1.4e8: one row at a time, the recursion needs O(n) memory
+        code, out, _ = run(capsys, "theory", "--formula", "recursion",
+                           "--n", "200000", "--m", "700")
+        assert code == 0
+        values = np.loadtxt(io.StringIO(out), delimiter=",", skiprows=2)[:, 1]
+        exact = exact_expected_indegree(200000, 700).values
+        # 1e-12 relative, plus up to half a unit in the 12th printed digit
+        assert np.max(np.abs(values - exact) / exact) < 1e-12 + 5e-12
 
 
 class TestMetrics:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,24 +9,23 @@ from hypothesis import strategies as st
 from netforge import (CrossingReport, brute_force_oracle, exact_expected_indegree,
                       matthew_approx_curve, merit_approx_curve, recursion_table,
                       single_crossing_index)
-from netforge.theory import MAX_TABLE_ENTRIES
 
 
 class TestRecursionTable:
     def test_n3_m2(self):
-        t = recursion_table(3, 2)
-        assert np.allclose(t.p_table[1], [2.5, 1.5, 1.0])
+        c = recursion_table(3, 2)
+        assert c.name == "recursion"
+        assert np.allclose(c.values, [2.5, 1.5, 1.0])
 
     def test_m1_all_ones(self):
         for n in (2, 7, 120):
-            assert np.all(recursion_table(n, 1).p_table[0] == 1.0)
+            assert np.all(recursion_table(n, 1).values == 1.0)
 
     def test_n4_value(self):
-        t = recursion_table(4, 2)
-        assert t.p_table[1][1] == pytest.approx(11 / 6, rel=1e-12)
+        assert recursion_table(4, 2).values[1] == pytest.approx(11 / 6, rel=1e-12)
 
     def test_boundary_and_monotonicity(self):
-        t = recursion_table(30, 4).p_table
+        t = np.array([recursion_table(30, m).values for m in range(1, 5)])
         assert np.all(t[:, -1] == 1.0)            # P(m, N) = 1
         assert np.all(t[0] == 1.0)                # P(1, i) = 1
         assert np.all(np.diff(t, axis=1) <= 1e-12)   # non-increasing in rank
@@ -37,15 +37,16 @@ class TestRecursionTable:
         with pytest.raises(ValueError):
             recursion_table(5, 5)
 
-    def test_size_limit(self, monkeypatch):
-        def no_alloc(*args, **kwargs):
-            raise AssertionError("the table was allocated")
-        monkeypatch.setattr(np, "empty", no_alloc)
-        n = MAX_TABLE_ENTRIES // 4              # m_cap * n at the limit is allowed
-        with pytest.raises(AssertionError, match="allocated"):
-            recursion_table(n, 4)
-        with pytest.raises(ValueError, match="--formula exact"):
-            recursion_table(n + 1, 4)
+    def test_memory_is_a_few_rows(self):
+        # one previous row and its temporaries, not an m_cap x n table
+        n = 10**5
+        tracemalloc.start()
+        try:
+            recursion_table(n, 50)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * 8
 
 
 class TestExactCurve:
@@ -66,7 +67,7 @@ class TestExactCurve:
     @given(st.integers(2, 60), st.data())
     def test_agrees_with_recursion(self, n, data):
         m = data.draw(st.integers(1, min(n - 1, 6)))
-        rec = recursion_table(n, m).expected_indegree
+        rec = recursion_table(n, m).values
         exact = exact_expected_indegree(n, m).values
         assert np.max(np.abs(rec - exact) / exact) < 1e-10
 
