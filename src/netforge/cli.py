@@ -128,7 +128,7 @@ def _cmd_generate(args) -> int:
 def _cmd_theory(args) -> int:
     curve = CURVE_FUNCS[args.formula](args.n, args.m)
     if args.out:
-        _atomic_write(args.out, curve.to_csv())
+        _write_csv(args.out, curve.header, *curve.columns)
     else:
         sys.stdout.write(curve.to_csv())
     if args.check_crossing:

@@ -7,6 +7,7 @@ spec and identical specs produce byte-identical exports.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -17,7 +18,7 @@ import numpy as np
 from . import __version__
 from .formation import (FormationConfig, generate, is_integer, is_real,
                         matched_er_density)
-from .lines import digit_runs, rint_scaled, rows, scan_lines
+from .lines import digit_runs, rint_scaled, row_slices, scan_lines
 from .metrics import (DEFAULT_XMIN, MetricsReport, compute_report,
                       degree_distribution, degree_report, gini, path_stats)
 from .plotting import loglog_svg
@@ -333,15 +334,19 @@ def empirical_ingest(text: str, target_mean: float) -> EmpiricalResult:
 # -- exports -----------------------------------------------------------------
 
 
-def _atomic_write(path: str, data: str) -> str:
-    """Write data to path through a temporary file and a rename. The file
-    gets the mode open(path, "w") would leave: a replaced file keeps its
-    mode, a new one gets 0o666 less the umask. Returns path."""
+def _atomic_write(path: str, data) -> str:
+    """Write data, a str (as UTF-8) or an iterable of byte slices, to path
+    through a temporary file and a rename. The file gets the mode
+    open(path, "w") would leave: a replaced file keeps its mode, a new one
+    gets 0o666 less the umask. When data raises, path is left as it was and
+    the temporary file is removed. Returns path."""
+    if isinstance(data, str):
+        data = [data.encode("utf-8")]
     tmp = os.path.join(os.path.dirname(path) or ".", f".tmp-{os.urandom(8).hex()}")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)    # the umask applies
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(data)
+        with os.fdopen(fd, "wb") as fh:
+            fh.writelines(data)
         try:
             os.chmod(tmp, os.stat(path).st_mode & 0o7777)
         except FileNotFoundError:
@@ -355,9 +360,10 @@ def _atomic_write(path: str, data: str) -> str:
 
 
 def _write_csv(path: str, header: str, *columns) -> str:
-    """Atomically write the header and the rows of the columns (see
-    lines.rows). Returns path."""
-    return _atomic_write(path, header + "\n" + rows(columns))
+    """Atomically write the header line and then the rows of the columns,
+    slice by slice (see lines.row_slices). Returns path."""
+    return _atomic_write(path, itertools.chain([(header + "\n").encode("utf-8")],
+                                               row_slices(columns)))
 
 
 def _write_json(path: str, obj) -> str:

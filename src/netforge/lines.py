@@ -8,15 +8,16 @@ errors) in line order, so it alone decides which error is raised first. On
 a regular line both rules give the same value. The lines are the ones
 `str.splitlines` gives, numbered from 1.
 
-`rows` writes columns of numbers as CSV rows, byte for byte as Python's
-``%d``, ``%.12g`` and (for a `Fixed2` column) ``%.2f`` write them, with numpy
-digit tables. A float is scaled by an exact power of ten, so the product is
-rounded once, and `rint_scaled` proves its `rint` unless the product is on a
-half. ``%.12g`` is written in bulk only for non-negative values in its fixed
-notation (1e-4 <= x < 999999999999.5, and +0), with the exponent read from a
-table of exact powers of ten; a negative value, -0, a value in exponent
-form, a non-finite one, one that rounds up to the next power of ten and one
-whose rounding is not proven go through Python's ``%``.
+`row_slices` writes columns of numbers as CSV rows, a slice of rows at a
+time, byte for byte as Python's ``%d``, ``%.12g`` and (for a `Fixed2`
+column) ``%.2f`` write them, with numpy digit tables; `rows` joins the
+slices into one string. A float is scaled by an exact power of ten, so the
+product is rounded once, and `rint_scaled` proves its `rint` unless the
+product is on a half. ``%.12g`` is written in bulk only for non-negative
+values in its fixed notation (1e-4 <= x < 999999999999.5, and +0), with the
+exponent read from a table of exact powers of ten; a negative value, -0, a
+value in exponent form, a non-finite one, one that rounds up to the next
+power of ten and one whose rounding is not proven go through Python's ``%``.
 """
 
 from __future__ import annotations
@@ -86,12 +87,13 @@ def scan_lines(text: str, regular, parse_line):
 
 # -- writing -----------------------------------------------------------------
 #
-# rows() writes a slice of rows at a time into a (rows, bytes) array copied
-# from one line template, then keeps the bytes a per-row mask selects. Every
-# field takes whole 4-byte words of the line, so that its digits go in as
-# uint32 words, four at a time, from a 10**4-entry table. A field starts with
-# a word that holds its separator; in the first field that is the "\n" that
-# ends the row before.
+# row_slices() writes a slice of rows at a time into a (rows, bytes) array
+# tiled from one line template, then deletes its NUL bytes: each field
+# writes NUL in every byte of its width that a row does not keep (no digit,
+# sign or separator is NUL). Every field takes whole 4-byte words of
+# the line, so that its digits go in as uint32 words, four at a time, from
+# 10**4-entry tables. A field starts with a word that holds its separator and
+# three NULs; in the first field the separator is the `end` of the row before.
 
 SLICE = 1 << 13     # rows formatted at once: bounds the temporaries
 
@@ -104,10 +106,15 @@ def _words(table) -> np.ndarray:
 _k = np.arange(10_000)
 _DIGITS4 = np.stack([_k // 1000, _k // 100 % 10, _k // 10 % 10, _k % 10], axis=1) + ord("0")
 _QUADS = _words(_DIGITS4)      # k -> the 4 digits of k, zero-padded
+_LEADING = _k[:, None] < 10 ** np.arange(3, -1, -1)     # the leading zeros of k
+# k -> its digits with the leading zeros NUL: at 10**4 + k, 0 as NUL only; at
+# 2 * 10**4 + k, 0 as "0"; (before them, at k, all 4 digits)
+_INT_QUADS = np.concatenate([_QUADS, _words(np.where(_LEADING, 0, _DIGITS4)),
+                             _words(np.where(_LEADING & (np.arange(4) < 3), 0, _DIGITS4))])
 _CENTS = _words(np.column_stack((np.full(100, ord(".")), _DIGITS4[:100, 2:],
                                  np.zeros(100))))     # k < 100 -> "." and 2 digits
 _QUAD_ZEROS = sum((_k % 10 ** j == 0).astype(np.int8) for j in (1, 2, 3, 4))  # 4 for 0
-del _k, _DIGITS4
+del _k, _DIGITS4, _LEADING
 _POW10 = 10 ** np.arange(1, 19, dtype=np.int64)    # an int64 has < 20 digits
 _SCALE = (10 ** np.arange(16)).astype(np.float64)     # 10**k, exact below 2**53
 # 10**e for -4 <= e < 12, as floats: exact from e = 0, and for e < 0 the
@@ -119,8 +126,8 @@ _TENS = 10.0 ** np.arange(-4, 12)
 # and exponent e (d0.d1...d11 * 10**e, -4 <= e < 12) at fixed bytes of its
 # 32-byte template, in words:
 #   ",_0_"  d0-d3 d4-d7 d8-d11 (integer part)  ".000"  d0-d3 d4-d7 d8-d11 (fraction part)
-# (_ is never kept). Its mask depends on e and the count k of digits left
-# once trailing zeros are stripped.
+# (_ is never kept). Which bytes it keeps depends on e and the count k of
+# digits left once trailing zeros are stripped.
 _FLOAT_TEMPLATE = b",_0_" + b"0" * 12 + b".000" + b"0" * 12
 
 
@@ -139,7 +146,16 @@ def _float_keep() -> np.ndarray:
     return keep.reshape(-1, len(_FLOAT_TEMPLATE))
 
 
-_FLOAT_KEEP = _float_keep()
+def _float_words() -> np.ndarray:
+    """(16 * 12, 8) words, by the rows of _float_keep: the kept bytes of
+    ",_0_" and ".000", 0xff for a kept digit, NUL for any other byte."""
+    template = np.frombuffer(_FLOAT_TEMPLATE, dtype=np.uint8)
+    digit = (np.arange(len(template)) // 4) % 4 != 0
+    return np.where(_float_keep(), np.where(digit, 0xff, template), 0).astype(np.uint8).view(
+        np.uint32)
+
+
+_FLOAT_WORDS = _float_words()
 
 
 def rint_scaled(x: np.ndarray, scale: float) -> tuple[np.ndarray, np.ndarray]:
@@ -160,17 +176,16 @@ def rint_scaled(x: np.ndarray, scale: float) -> tuple[np.ndarray, np.ndarray]:
     return r, small & (np.abs(m) < 2.0 ** 52) & (np.abs(m - r) != 0.5)
 
 
-def _splice(text: np.ndarray, keep: np.ndarray, at: np.ndarray, spliced: np.ndarray) -> None:
+def _splice(text: np.ndarray, at: np.ndarray, spliced: np.ndarray) -> None:
     """In the field's rows `at`, put the bytes Python's % wrote for their
-    values (spliced, an S array one byte narrower than the field) after the
-    separator, and keep as many bytes as each holds."""
+    values (spliced, an S array one byte narrower than the field, so NUL
+    after them) after the separator."""
     text[at, 1:] = spliced.view(np.uint8).reshape(len(at), -1)
-    keep[at, 1:] = np.arange(text.shape[1] - 1) < np.char.str_len(spliced)[:, None]
 
 
 class _IntField:
     """Non-negative integers as %d: right-aligned digits, leading zeros
-    dropped, in a field of at least `width` digits."""
+    NUL, in a field of at least `width` digits."""
 
     def __init__(self, values: np.ndarray, width: int = 1):
         self.values = np.asarray(values, dtype=np.int64)
@@ -178,22 +193,19 @@ class _IntField:
             raise ValueError("an integer column must be non-negative")
         digits = max(int(np.searchsorted(_POW10, self.values.max(initial=0),
                                          side="right")) + 1, width)
-        self._pow10 = _POW10[:digits - 1]
         self.groups = -(-digits // 4)
         self.template = b",\0\0\0" + b"0" * 4 * self.groups
-        # _keep[d]: the mask of a value of d digits
-        j = np.arange(len(self.template))
-        self._keep = (j == 0) | (j >= len(self.template) - np.arange(digits + 1)[:, None])
 
-    def write(self, lo: int, hi: int, text: np.ndarray, keep: np.ndarray) -> None:
+    def write(self, lo: int, hi: int, text: np.ndarray) -> None:
         v = self.values[lo:hi]
-        keep[:] = self._keep.take(np.searchsorted(self._pow10, v, side="right") + 1, axis=0)
         quads = text.view(np.uint32)
+        lead = 2 * 10_000           # in the last group, 0 is written as "0"
         for g in range(self.groups, 1, -1):
             high = v // 10_000
-            quads[:, g] = _QUADS.take(v - high * 10_000)
+            quads[:, g] = _INT_QUADS.take(v - high * 10_000 + (high == 0) * lead)
             v = high
-        quads[:, 1] = _QUADS.take(v)
+            lead = 10_000
+        quads[:, 1] = _INT_QUADS.take(v + lead)
 
 
 class _FloatField:
@@ -207,7 +219,7 @@ class _FloatField:
     def __init__(self, values: np.ndarray):
         self.values = np.asarray(values, dtype=np.float64)
 
-    def write(self, lo: int, hi: int, text: np.ndarray, keep: np.ndarray) -> None:
+    def write(self, lo: int, hi: int, text: np.ndarray) -> None:
         x = self.values[lo:hi]
         fixed = (x >= 1e-4) & (x < 999999999999.5)     # NaN compares false
         e = np.searchsorted(_TENS, np.where(fixed, x, 1.0), side="right") - 5
@@ -223,14 +235,16 @@ class _FloatField:
         zeros = _QUAD_ZEROS.take(low) + (low == 0) * (
             _QUAD_ZEROS.take(mid) + (mid == 0) * _QUAD_ZEROS.take(high))
         # the 12 zeros of 0 count as 11, so that 0 is written as "0"
-        keep[:] = _FLOAT_KEEP.take(12 * (e + 4) + 11 - np.minimum(zeros, 11), axis=0)
-        words = text.view(np.uint32)
+        words = _FLOAT_WORDS.take(12 * (e + 4) + 11 - np.minimum(zeros, 11), axis=0)
         for j, part in ((1, high), (2, mid), (3, low)):
-            words[:, j] = words[:, j + 4] = _QUADS.take(part)
+            digits = _QUADS.take(part)
+            words[:, j] &= digits
+            words[:, j + 4] &= digits
+        text[:, 1:] = words.view(np.uint8)[:, 1:]
         # negatives, -0, NaN, inf, exponent form, carries and halves
         other = np.flatnonzero(~(exact | (x == 0)) | np.signbit(x))
         if len(other):
-            _splice(text, keep, other, np.array(
+            _splice(text, other, np.array(
                 [("%.12g" % v).encode() for v in x[other].tolist()],
                 dtype=f"S{len(self.template) - 1}"))
 
@@ -254,13 +268,12 @@ class Fixed2(_IntField):
         self.template += b".00\0"
         self._spliced = np.array(spliced, dtype=f"S{len(self.template) - 1}")
 
-    def write(self, lo: int, hi: int, text: np.ndarray, keep: np.ndarray) -> None:
-        super().write(lo, hi, text[:, :-4], keep[:, :-4])
+    def write(self, lo: int, hi: int, text: np.ndarray) -> None:
+        super().write(lo, hi, text[:, :-4])
         text[:, -4:].view(np.uint32)[:, 0] = _CENTS.take(self._cents[lo:hi])
-        keep[:, -4:] = [True, True, True, False]
         a, b = np.searchsorted(self._other, (lo, hi))
         if a < b:
-            _splice(text, keep, self._other[a:b] - lo, self._spliced[a:b])
+            _splice(text, self._other[a:b] - lo, self._spliced[a:b])
 
 
 def _field(values):
@@ -273,31 +286,36 @@ def _field(values):
     raise TypeError("a column is an integer or float array, or a Fixed2")
 
 
-def rows(columns, end: str = "\n") -> str:
-    """The lines of a CSV table: for each row, its entry of every column,
-    joined by "," and ended by `end`, one ASCII character. A column is a
-    non-negative integer array (written as %d), a float array (as %.12g) or a
-    Fixed2 of floats (as %.2f); every column has the same length."""
-    if len(end) != 1 or not end.isascii():
-        raise ValueError(f"end must be one ASCII character, got {end!r}")
+def row_slices(columns, end: str = "\n"):
+    """The lines of a CSV table as UTF-8 byte slices, one per SLICE rows and
+    then `end`: for each row, its entry of every column, joined by "," and
+    ended by `end`, one ASCII character other than NUL. A column is a non-negative integer
+    array (written as %d), a float array (as %.12g) or a Fixed2 of floats
+    (as %.2f); every column has the same length. Columns are checked when
+    the first slice is taken, and each slice is formatted as it is taken,
+    so memory stays at one slice's."""
+    if len(end) != 1 or not end.isascii() or end == "\0":
+        raise ValueError(f"end must be one ASCII character other than NUL, got {end!r}")
     fields = [_field(c) for c in columns]
     n = len(fields[0].values) if fields else 0
     if any(len(f.values) != n for f in fields):
         raise ValueError("columns differ in length")
     if not n:
-        return ""
+        return
     # each row starts with `end` in place of the first field's separator
     line = np.frombuffer(end.encode() + b"".join(f.template for f in fields)[1:], dtype=np.uint8)
     stops = np.cumsum([len(f.template) for f in fields])
     block = np.tile(line, (min(n, SLICE), 1))
-    pieces = []
     for lo in range(0, n, SLICE):
         hi = min(lo + SLICE, n)
         text = block[:hi - lo].copy()
-        keep = np.empty(text.shape, dtype=bool)
         for f, stop in zip(fields, stops):
-            start = stop - len(f.template)
-            f.write(lo, hi, text[:, start:stop], keep[:, start:stop])
-        pieces.append(text[keep].tobytes())
-    pieces[0] = pieces[0][1:]       # drop the `end` before the first row, add the last one
-    return b"".join(pieces + [end.encode()]).decode("utf-8")
+            f.write(lo, hi, text[:, stop - len(f.template):stop])
+        piece = text.tobytes().translate(None, b"\0")
+        yield piece[1:] if lo == 0 else piece   # no `end` before the first row
+    yield end.encode()
+
+
+def rows(columns, end: str = "\n") -> str:
+    """The text of row_slices(columns, end), as one string."""
+    return b"".join(row_slices(columns, end)).decode("utf-8")

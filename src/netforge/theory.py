@@ -34,9 +34,18 @@ class CurveSpec:
     values: np.ndarray = field(repr=False)
     name: str = "curve"
 
+    @property
+    def header(self) -> str:
+        """The CSV's two header lines, without the final newline."""
+        return f"# curve: {self.name} n={self.n} m={self.m_cap}\nrank,expected_indegree"
+
+    @property
+    def columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """The CSV's columns: the ranks 1..n and the values."""
+        return np.arange(1, len(self.values) + 1), self.values
+
     def to_csv(self) -> str:
-        return (f"# curve: {self.name} n={self.n} m={self.m_cap}\nrank,expected_indegree\n"
-                + rows([np.arange(1, len(self.values) + 1), self.values]))
+        return self.header + "\n" + rows(self.columns)
 
 
 def recursion_table(n: int, m_cap: int) -> CurveSpec:

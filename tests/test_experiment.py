@@ -4,6 +4,7 @@ import math
 import os
 import stat
 import struct
+import tracemalloc
 import warnings
 from collections import Counter
 
@@ -17,6 +18,7 @@ from netforge import (EmpiricalParseError, ExperimentSpec, SpecError,
                       export_sweep, gini, hybrid_sweep, run_batch,
                       small_world_scaling)
 from netforge import experiment, metrics
+from netforge.lines import SLICE, rows
 from test_lines import from_bits, nearest_tie, neighbours
 
 
@@ -292,6 +294,52 @@ class TestExports:
         assert stat.S_IMODE(os.stat(path).st_mode) == 0o640
         assert path.read_text() == "new\n"
         assert os.listdir(tmp_path) == ["export.csv"]     # no temporary file left
+
+    def test_csv_streams_in_slices(self, tmp_path):
+        # about 20 MB of text, written with one slice's memory
+        n = 10 ** 6
+        ranks = np.arange(1, n + 1)
+        values = np.random.default_rng(7).uniform(0.0, 1000.0, n)
+        path = tmp_path / "curve.csv"
+        tracemalloc.start()
+        try:
+            experiment._write_csv(str(path), "rank,value", ranks, values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
+        assert path.read_bytes() == b"rank,value\n" + rows([ranks, values]).encode()
+
+    @pytest.mark.parametrize("columns", [
+        (np.arange(3 * SLICE), np.arange(3 * SLICE) - 2 * SLICE),     # negative past slice 1
+        (np.arange(3 * SLICE), np.ones(3 * SLICE - 1)),
+    ])
+    def test_rejected_column_leaves_the_target(self, tmp_path, columns):
+        with pytest.raises(ValueError) as expected:
+            rows(columns)
+        path = tmp_path / "export.csv"
+        path.write_bytes(b"old\n")
+        os.chmod(path, 0o640)
+        with pytest.raises(ValueError, match=str(expected.value)):
+            experiment._write_csv(str(path), "a,b", *columns)
+        assert path.read_bytes() == b"old\n"
+        assert stat.S_IMODE(os.stat(path).st_mode) == 0o640
+        assert os.listdir(tmp_path) == ["export.csv"]     # no temporary file left
+
+    def test_export_rejects_a_negative_degree(self, tmp_path, monkeypatch):
+        rs = run_batch(spec())
+        monkeypatch.setattr(experiment.ResultSet, "pooled_ccdf",
+                            property(lambda self: [(-1, 1.0), (0, 0.5)]))
+        with pytest.raises(ValueError) as expected:
+            rows([np.array([-1, 0])])
+        path = tmp_path / "degree_ccdf.csv"
+        path.write_bytes(b"old\n")
+        os.chmod(path, 0o640)
+        with pytest.raises(ValueError, match=str(expected.value)):
+            export_results(rs, str(tmp_path))
+        assert path.read_bytes() == b"old\n"
+        assert stat.S_IMODE(os.stat(path).st_mode) == 0o640
+        assert not [name for name in os.listdir(tmp_path) if name.startswith(".tmp-")]
 
     def test_export_sweep(self, tmp_path):
         s = spec(model="hybrid", n=40, m_cap=2, runs=2, sweep=[0.0, 1.0])

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from netforge.lines import _TENS, SLICE, Fixed2, rows
+from netforge.lines import _TENS, SLICE, Fixed2, row_slices, rows
 
 
 def reference(*columns) -> str:
@@ -119,8 +119,9 @@ def test_fixed2_across_slices(n):
     x[::5] = np.round(x[::5] * 100) / 100 + 0.005       # near %.2f ties
     x[::13] = np.resize([np.nan, -3.25, 1e300, -0.0, 1e15], len(x[::13]))
     keys = rng.integers(0, 10 ** 6, n)
-    assert rows([keys, Fixed2(x)]) == "".join(
-        "%d,%.2f\n" % r for r in zip(keys.tolist(), x.tolist()))
+    text = "".join("%d,%.2f\n" % r for r in zip(keys.tolist(), x.tolist()))
+    assert rows([keys, Fixed2(x)]) == text
+    assert b"".join(row_slices([keys, Fixed2(x)])) == text.encode()
 
 
 @pytest.mark.parametrize("n", [0, 1, SLICE - 1, SLICE, SLICE + 1, 2 * SLICE + 3])
@@ -132,6 +133,8 @@ def test_row_counts_across_slices(n):
     keys = rng.integers(0, 2 ** 62, n)
     assert rows([keys, values]) == reference(keys, values)
     assert rows([keys]) == reference(keys)
+    assert (b"".join(row_slices([keys, values], end=" "))
+            == rows([keys, values]).replace("\n", " ").encode())
 
 
 def test_rejects_what_it_cannot_write():
@@ -145,3 +148,5 @@ def test_rejects_what_it_cannot_write():
         rows([np.arange(2), ["a", "b"]])
     with pytest.raises(ValueError, match="one ASCII character"):
         rows([np.arange(3)], end="\r\n")
+    with pytest.raises(ValueError, match="other than NUL"):
+        rows([np.arange(3)], end="\0")     # a slice's NUL bytes are deleted

@@ -170,5 +170,9 @@ def test_generate_stdout_bytes_large(model, n, extra, digest):
     ("exact", "4aa572c4813440070584129838c571df7a527caaf6f75ddba603c0ef47909096"),
     ("merit-approx", "f1a94798c03a9eec43fe7b744a84f2ea5ee167e84629df210a4a7ed2f372c243"),
 ])
-def test_theory_csv_bytes(formula, digest):
-    assert stdout_digest(["theory", "--formula", formula, "--n", "300", "--m", "4"]) == digest
+def test_theory_csv_bytes(tmp_path, formula, digest):
+    argv = ["theory", "--formula", formula, "--n", "300", "--m", "4"]
+    assert stdout_digest(argv) == digest
+    out = tmp_path / "curve.csv"
+    stdout_digest(argv + ["--out", str(out)])
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
