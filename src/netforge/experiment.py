@@ -16,8 +16,8 @@ from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 import numpy as np
 
 from . import __version__
-from .formation import (FormationConfig, generate, is_integer, is_real,
-                        matched_er_density)
+from .formation import FormationConfig, generate, is_real
+from .graph import check_range
 from .lines import digit_runs, rint_scaled, row_slices, scan_lines
 from .metrics import (DEFAULT_XMIN, MetricsReport, compute_report,
                       degree_distribution, degree_report, gini, path_stats)
@@ -43,10 +43,9 @@ class ExperimentSpec:
     full_metrics: bool = False      # include all-source BFS path statistics per run
 
     def __post_init__(self):
-        for name in ("runs", "seed_base", "xmin"):
-            value = getattr(self, name)
-            if not is_integer(value):
-                raise SpecError(f"{name} must be an integer, got {value!r}")
+        check_range(SpecError, "runs", self.runs, 1, None)
+        check_range(SpecError, "seed_base", self.seed_base, 0, None)
+        check_range(SpecError, "xmin", self.xmin, 1)
         for name in ("emit_plots", "full_metrics"):
             value = getattr(self, name)
             if not isinstance(value, bool):
@@ -55,12 +54,6 @@ class ExperimentSpec:
             value = getattr(self, name)
             if value is not None and not is_real(value):
                 raise SpecError(f"{name} must be null or a finite number, got {value!r}")
-        if self.runs < 1:
-            raise SpecError(f"runs must be >= 1, got {self.runs}")
-        if self.seed_base < 0:
-            raise SpecError(f"seed_base must be >= 0, got {self.seed_base}")
-        if self.xmin < 1:
-            raise SpecError(f"xmin must be >= 1, got {self.xmin}")
         if self.sweep is not None:
             if not (isinstance(self.sweep, list) and all(map(is_real, self.sweep))):
                 raise SpecError(f"sweep must be null or a list of numbers, got {self.sweep!r}")
@@ -239,17 +232,13 @@ class ScalingRow:
 def small_world_scaling(model: str, n_list: list[int], m_cap: int, runs: int,
                         seed_base: int = 0, density: float | None = None) -> list[ScalingRow]:
     """Mean diameter and APL per network size, with the log2(n) benchmark.
-    Each size runs the batch spec of (model, n, m_cap, density, runs, seed_base);
-    ER without a density gets the matched density. Runs with no reachable pair
-    are left out of the means."""
+    Each size runs the batch spec of (model, n, m_cap, density, runs, seed_base).
+    Runs with no reachable pair are left out of the means."""
     if sorted(n_list) != list(n_list):
         raise SpecError("n_list must be ascending")
     rows = []
     for n in n_list:
-        dens = density
-        if model == "er_directed" and dens is None:
-            dens = matched_er_density(n, m_cap)
-        spec = ExperimentSpec(model=model, n=n, m_cap=m_cap, density=dens, runs=runs,
+        spec = ExperimentSpec(model=model, n=n, m_cap=m_cap, density=density, runs=runs,
                               seed_base=seed_base)
         diams, apls = [], []
         for r in range(spec.runs):

@@ -13,16 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import _ID_LIMIT, DirectedGraph
+from .graph import DirectedGraph, check_range, is_integer
 
 
 class ConfigError(ValueError):
     """Invalid FormationConfig."""
-
-
-def is_integer(value) -> bool:
-    """True for Python and numpy integers; False for bool and everything else."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def is_real(value) -> bool:
@@ -43,14 +38,9 @@ class FormationConfig:
     def __post_init__(self):
         if self.model not in MODELS:
             raise ConfigError(f"unknown model {self.model!r}, expected one of {MODELS}")
-        if not is_integer(self.n) or not 2 <= self.n < _ID_LIMIT:
-            raise ConfigError(f"n must be an integer in [2, 2**62), got {self.n!r}")
-        if not is_integer(self.seed) or self.seed < 0:
-            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
-        if not is_integer(self.m_cap) or self.m_cap < 1:
-            raise ConfigError(f"m_cap must be a positive integer, got {self.m_cap!r}")
-        if self.m_cap > self.n - 1:
-            raise ConfigError(f"m_cap={self.m_cap} exceeds n-1={self.n - 1}")
+        check_range(ConfigError, "n", self.n, 2)
+        check_range(ConfigError, "seed", self.seed, 0, None)
+        check_range(ConfigError, "m_cap", self.m_cap, 1, self.n)
         if self.model == "hybrid":
             if not is_real(self.p) or not 0.0 <= self.p <= 1.0:
                 raise ConfigError(f"hybrid requires p in [0,1], got {self.p!r}")

@@ -12,11 +12,28 @@ order, so it sorts only edge lists that are not.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .lines import digit_runs, rows, scan_lines
 
 _ID_LIMIT = 2 ** 62     # node ids and counts stay clear of int64 overflow
+
+
+def is_integer(value) -> bool:
+    """True for Python and numpy integers; False for bool and everything else."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def check_range(error: type[Exception], name: str, value, lo: int,
+                hi: int | None = _ID_LIMIT) -> None:
+    """Raise error(message) unless value is an integer (not a bool) in
+    [lo, hi), with no upper bound when hi is None. The message names the
+    field, the interval and the value."""
+    if not is_integer(value) or not lo <= value < (math.inf if hi is None else hi):
+        top = {None: "inf", _ID_LIMIT: "2**62"}.get(hi, hi)
+        raise error(f"{name} must be an integer in [{lo}, {top}), got {value!r}")
 
 
 class GraphError(ValueError):
@@ -168,8 +185,7 @@ class DirectedGraph:
         creation order. Raises GraphError for a bad n or for the first edge
         that breaks a rule (see `_check_edges`). Edges already in node order
         are stored as given; others are sorted by source, stably."""
-        if not isinstance(n, (int, np.integer)) or not 2 <= n < _ID_LIMIT:
-            raise GraphError(f"node count must be an integer in [2, 2**62), got {n!r}")
+        check_range(GraphError, "node count", n, 2)
         n = int(n)
         src = np.asarray(src, dtype=np.int64)
         dst = np.array(dst, dtype=np.int64)     # a copy: the graph owns its arrays

@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graph import DirectedGraph
+from .graph import DirectedGraph, check_range
 
 DEFAULT_XMIN = 10
 _GATHER_BYTES = 16 << 20    # bound on each (rows x words) array of one BFS level
@@ -61,10 +61,9 @@ def degree_distribution(indegrees) -> tuple[dict[int, int], list[tuple[int, floa
 def fit_power_law(indegrees, xmin: int = DEFAULT_XMIN) -> float:
     """Discrete power-law exponent by the continuous-MLE approximation:
     alpha = 1 + n_tail / sum(log(d / (xmin - 0.5))) over observations >= xmin.
-    Deterministic for fixed input. Requires xmin >= 1 and at least 50 tail
-    observations."""
-    if xmin < 1:
-        raise ValueError(f"xmin must be >= 1, got {xmin!r}")
+    Deterministic for fixed input. Requires an integer xmin in [1, 2**62),
+    the range of an in-degree, and at least 50 tail observations."""
+    check_range(ValueError, "xmin", xmin, 1)
     d = np.asarray(indegrees, dtype=float)
     tail = d[d >= xmin]
     if len(tail) < 50:

@@ -15,14 +15,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .graph import _ID_LIMIT, check_range
 from .lines import rows
 
 
-def _validate(n: int, m_cap: int) -> None:
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
-    if not 1 <= m_cap <= n - 1:
-        raise ValueError(f"m_cap must be in [1, n-1], got {m_cap} for n={n}")
+def _validate(n: int, m_cap: int, n_limit: int = _ID_LIMIT) -> None:
+    check_range(ValueError, "n", n, 2, n_limit)
+    check_range(ValueError, "m_cap", m_cap, 1, n)
 
 
 @dataclass
@@ -32,7 +31,7 @@ class CurveSpec:
     n: int
     m_cap: int
     values: np.ndarray = field(repr=False)
-    name: str = "curve"
+    name: str
 
     @property
     def header(self) -> str:
@@ -134,9 +133,7 @@ def brute_force_oracle(n: int, m_cap: int) -> CurveSpec:
     is correctly rounded, so the values are the nearest floats to the exact
     rational expectations.
     """
-    if n > 8:
-        raise ValueError(f"oracle enumeration limited to n <= 8, got {n}")
-    _validate(n, m_cap)
+    _validate(n, m_cap, 9)
     counts = [0] * (n + 1)
     for src in range(1, n + 1):
         candidates = [j for j in range(1, n + 1) if j != src]

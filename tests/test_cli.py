@@ -446,20 +446,23 @@ class TestEmpirical:
 # -- node counts past the id bound --------------------------------------------
 
 _HUGE_NS = (2 ** 62, 2 ** 63 - 1, 2 ** 63, 10 ** 30)
+# xmin at or past the in-degree bound, where the fit once overflowed a float
+_HUGE_XMINS = (2 ** 62, 2 ** 63, 10 ** 400)
 
 
-def _huge_n_examples(make):
-    """One hypothesis @example per node count in _HUGE_NS: make(n) gives its
-    arguments."""
+def _huge_n_examples(make, values=_HUGE_NS):
+    """One hypothesis @example per value, by default each node count in
+    _HUGE_NS: make(value) gives its arguments."""
     def decorate(test):
-        for n in _HUGE_NS:
-            test = example(**make(n))(test)
+        for value in values:
+            test = example(**make(value))(test)
         return test
     return decorate
 
 
 @pytest.mark.parametrize("n", _HUGE_NS)
-@pytest.mark.parametrize("command", ["generate", "metrics", "experiment", "sweep"])
+@pytest.mark.parametrize("command", ["generate", "metrics", "experiment", "sweep",
+                                     "theory exact", "theory recursion"])
 def test_node_count_bound_exit_1(tmp_path, capsys, command, n):
     spec = {"model": "hybrid", "n": n, "m_cap": 5, "p": 0.5}
     if command == "sweep":
@@ -469,11 +472,27 @@ def test_node_count_bound_exit_1(tmp_path, capsys, command, n):
     argv = {"generate": ["--model", "merit", "--n", str(n), "--m", "5", "--seed", "1"],
             "metrics": ["--in", str(tmp_path / "edges.csv"), "--n", str(n)],
             "experiment": ["--spec", str(tmp_path / "spec.json"), "--out", str(tmp_path / "o")],
-            "sweep": ["--spec", str(tmp_path / "spec.json"), "--out", str(tmp_path / "o")]}
-    code, out, err = run(capsys, command, *argv[command])
+            "sweep": ["--spec", str(tmp_path / "spec.json"), "--out", str(tmp_path / "o")],
+            "theory exact": ["--formula", "exact", "--n", str(n), "--m", "5"],
+            "theory recursion": ["--formula", "recursion", "--n", str(n), "--m", "5"]}
+    code, out, err = run(capsys, command.split()[0], *argv[command])
     assert code == 1 and out == ""
     assert err.startswith("error:") and len(err.splitlines()) == 1
     assert "2**62" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("xmin", _HUGE_XMINS, ids=["2**62", "2**63", "10**400"])
+@pytest.mark.parametrize("command", ["metrics", "experiment"])
+def test_xmin_bound_exit_1(tmp_path, capsys, command, xmin):
+    (tmp_path / "spec.json").write_text(json.dumps({"model": "matthew", "n": 20, "m_cap": 2,
+                                                    "xmin": xmin}))
+    (tmp_path / "edges.csv").write_text("1,2\n2,3\n")
+    argv = {"metrics": ["--in", str(tmp_path / "edges.csv"), "--xmin", str(xmin)],
+            "experiment": ["--spec", str(tmp_path / "spec.json"), "--out", str(tmp_path / "o")]}
+    code, out, err = run(capsys, command, *argv[command])
+    assert code == 1 and out == ""
+    assert err.startswith("error: xmin must be") and len(err.splitlines()) == 1
     assert not (tmp_path / "o").exists()
 
 
@@ -644,6 +663,7 @@ def test_fuzz_theory_exit_codes(argv, time_limit):
 @settings(max_examples=100, deadline=None)
 @given(edges=_EDGES, options=_metrics_options())
 @_huge_n_examples(lambda n: {"edges": [(1, 2), (2, 3)], "options": ["--n", str(n)]})
+@_huge_n_examples(lambda x: {"edges": [(1, 2)], "options": ["--xmin", str(x)]}, _HUGE_XMINS)
 def test_fuzz_metrics_exit_codes(edges, options, edge_file, time_limit):
     edge_file.write_text("".join(f"{a},{b}\n" for a, b in edges))
     argv = ["metrics", "--in", str(edge_file), *options]
@@ -656,6 +676,8 @@ def test_fuzz_metrics_exit_codes(edges, options, edge_file, time_limit):
                              "command": ["experiment"]})
 @_huge_n_examples(lambda n: {"spec": {"model": "hybrid", "n": n, "m_cap": 5,
                                       "sweep": [0.5]}, "command": ["sweep"]})
+@_huge_n_examples(lambda x: {"spec": {"model": "matthew", "n": 20, "xmin": x},
+                             "command": ["experiment"]}, _HUGE_XMINS)
 def test_fuzz_spec_exit_codes(spec, command, fuzz_dir, time_limit):
     (fuzz_dir / "spec.json").write_text(json.dumps(spec))
     argv = [command[0], "--spec", str(fuzz_dir / "spec.json"),

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from netforge import (DirectedGraph, EdgeListParseError, FormationConfig, GraphError,
                       generate)
-from netforge.graph import _check_edges
+from netforge.graph import _check_edges, check_range
 
 
 def graph(n, edges):
@@ -25,6 +25,27 @@ def test_too_small_rejected(n):
         graph(n, [])
     with pytest.raises(GraphError):
         DirectedGraph._from_out_adj(n, [], [])
+
+
+class _FieldError(ValueError):
+    pass
+
+
+@pytest.mark.parametrize("value, lo, hi, bound", [
+    (2 ** 62, 2, 2 ** 62, "[2, 2**62)"), (1, 2, 2 ** 62, "[2, 2**62)"),
+    (-1, 0, None, "[0, inf)"), (True, 0, None, "[0, inf)"), (5, 1, 5, "[1, 5)"),
+    (np.float64(3.0), 1, 5, "[1, 5)"), ("3", 1, 5, "[1, 5)"), (None, 1, None, "[1, inf)")])
+def test_check_range_rejects(value, lo, hi, bound):
+    with pytest.raises(_FieldError) as exc:
+        check_range(_FieldError, "count", value, lo, hi)
+    assert str(exc.value) == f"count must be an integer in {bound}, got {value!r}"
+
+
+@pytest.mark.parametrize("value, lo, hi", [
+    (2 ** 62 - 1, 2, 2 ** 62), (np.int16(4), 1, 2 ** 62), (np.uint64(2 ** 63), 0, None),
+    (10 ** 400, 0, None), (4, 1, 5)])
+def test_check_range_accepts(value, lo, hi):
+    check_range(_FieldError, "count", value, lo, hi)
 
 
 def test_single_edge_basic():

@@ -87,8 +87,9 @@ class TestPowerLawFit:
         expected = 1 + 1 / np.log(10 / 9.5)
         assert fit_power_law(np.full(200, 10), xmin=10) == pytest.approx(expected)
 
-    def test_xmin_below_one_rejected(self):
-        for xmin in (0, -3, 0.5):
+    def test_xmin_out_of_range_rejected(self):
+        # the bound of an in-degree; 10**400 once overflowed the float compare
+        for xmin in (0, -3, 0.5, True, 2 ** 62, 10 ** 400):
             with pytest.raises(ValueError, match="xmin") as exc:
                 fit_power_law(np.arange(100), xmin=xmin)
             assert not isinstance(exc.value, InsufficientDataError)

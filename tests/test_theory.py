@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from netforge import (CrossingReport, brute_force_oracle, exact_expected_indegree,
                       matthew_approx_curve, merit_approx_curve, recursion_table,
                       single_crossing_index)
+from netforge.theory import CURVE_FUNCS
 
 
 class TestRecursionTable:
@@ -192,3 +193,12 @@ def test_curve_csv_format():
     assert lines[1] == "rank,expected_indegree"
     assert lines[2].startswith("1,")
     assert len(lines) == 5
+
+
+@pytest.mark.parametrize("n", [3.5, True, 2 ** 62])
+@pytest.mark.parametrize("formula", sorted(CURVE_FUNCS))
+def test_node_count_must_be_an_integer_in_range(formula, n):
+    with pytest.raises(ValueError, match=r"^n must be an integer in \[2, ") as exc:
+        CURVE_FUNCS[formula](n, 2)
+    if formula != "oracle":         # the O(n) curves share the node-id bound
+        assert "2**62)" in str(exc.value)
