@@ -14,8 +14,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from .experiment import (ExperimentSpec, _atomic_write, _write_csv, _write_json,
-                         empirical_ingest, export_results, export_sweep,
+from .experiment import (ExperimentSpec, _atomic_write, _json_text, _write_csv,
+                         _write_json, empirical_ingest, export_results, export_sweep,
                          hybrid_sweep, run_batch)
 from .formation import FormationConfig, generate
 from .graph import DirectedGraph
@@ -144,9 +144,7 @@ def _cmd_theory(args) -> int:
 def _cmd_metrics(args) -> int:
     g = DirectedGraph.from_edge_list(_read(args.infile), n=args.n)
     report = compute_report(g, xmin=args.xmin, with_paths=args.full)
-    json.dump(report.to_dict(), sys.stdout, allow_nan=False, indent=1,
-              sort_keys=True)
-    sys.stdout.write("\n")
+    sys.stdout.write(_json_text(report.to_dict()))
     return EXIT_OK
 
 

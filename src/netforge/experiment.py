@@ -246,7 +246,7 @@ def small_world_scaling(model: str, n_list: list[int], m_cap: int, runs: int,
             if diam is not None:
                 diams.append(diam)
                 apls.append(apl)
-        rows.append(ScalingRow(n=n,
+        rows.append(ScalingRow(n=spec.n,
                                mean_diameter=float(np.mean(diams)) if diams else None,
                                mean_apl=float(np.mean(apls)) if apls else None,
                                log2_n=math.log2(n)))
@@ -355,27 +355,30 @@ def _write_csv(path: str, header: str, *columns) -> str:
                                                row_slices(columns)))
 
 
+def _json_text(obj) -> str:
+    """obj as sorted JSON indented by one space, with a final newline; NaN
+    and infinities are an error."""
+    return json.dumps(obj, allow_nan=False, indent=1, sort_keys=True) + "\n"
+
+
 def _write_json(path: str, obj) -> str:
-    """Atomically write obj as sorted, indented JSON; NaN is an error. Returns path."""
-    return _atomic_write(path, json.dumps(obj, allow_nan=False, indent=1, sort_keys=True)
-                         + "\n")
+    """Atomically write _json_text(obj). Returns path."""
+    return _atomic_write(path, _json_text(obj))
 
 
 def _metrics_json(d: dict) -> str:
-    """json.dumps(d, allow_nan=False, indent=1, sort_keys=True) + "\n" for a
-    ResultSet.to_dict() object, with its longest list, per_node_mean_indegree,
-    joined in one call: json writes a finite float as float.__repr__, and the
-    key sorts first, so the list opens the text."""
+    """_json_text(d) for a ResultSet.to_dict() object, with its longest list,
+    per_node_mean_indegree, joined in one call: json writes a finite float as
+    float.__repr__, and the key sorts first, so the list opens the text."""
     values = d["per_node_mean_indegree"]
     if not all(map(math.isfinite, values)):
         raise ValueError("Out of range float values are not JSON compliant")
-    text = json.dumps({**d, "per_node_mean_indegree": []}, allow_nan=False, indent=1,
-                      sort_keys=True)
+    text = _json_text({**d, "per_node_mean_indegree": []})
     if values:
         head = '{\n "per_node_mean_indegree": ['
         text = (head + "\n  " + ",\n  ".join(map(float.__repr__, values)) + "\n ]"
                 + text[len(head) + 1:])
-    return text + "\n"
+    return text
 
 
 def export_results(rs: ResultSet, out_dir: str) -> list[str]:

@@ -6,7 +6,7 @@ All operations are read-only; graphs are treated as immutable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import NamedTuple
 
@@ -277,9 +277,9 @@ class MetricsReport:
     alpha_hat: float | None
     xmin_used: int
     gini: float
-    diameter: int | None
-    avg_path_length: float | None
-    avg_clustering: float | None
+    diameter: int | None = None                 # structural fields: None unless computed
+    avg_path_length: float | None = None
+    avg_clustering: float | None = None
 
     @cached_property
     def degree_histogram(self) -> dict[int, int]:
@@ -296,29 +296,25 @@ class MetricsReport:
 
 def degree_report(indegree: np.ndarray, xmin: int = DEFAULT_XMIN) -> MetricsReport:
     """The in-degree facts of one graph as a MetricsReport: the vector (kept,
-    not copied), alpha_hat (None when the tail is too small) and Gini. The
-    structural fields, clustering and path statistics, are None."""
+    not copied), alpha_hat (None when the tail is too small), Gini and xmin,
+    checked by fit_power_law and stored as a Python int. The structural
+    fields, clustering and path statistics, are left None."""
     try:
         alpha = fit_power_law(indegree, xmin=xmin)
     except InsufficientDataError:
         alpha = None
-    return MetricsReport(
-        indegree=indegree,
-        alpha_hat=alpha,
-        xmin_used=xmin,
-        gini=gini(indegree) if indegree.sum() > 0 else 0.0,
-        diameter=None,
-        avg_path_length=None,
-        avg_clustering=None,
-    )
+    return MetricsReport(indegree=indegree, alpha_hat=alpha, xmin_used=int(xmin),
+                         gini=gini(indegree) if indegree.sum() > 0 else 0.0)
 
 
 def compute_report(g: DirectedGraph, xmin: int = DEFAULT_XMIN,
                    with_paths: bool = False) -> MetricsReport:
-    """degree_report of g's in-degrees with the structural fields filled in:
-    average clustering always, path statistics when with_paths is set
-    (all-source BFS is the expensive part)."""
-    indeg, _ = g.degrees_snapshot()
-    diam, apl = path_stats(g) if with_paths else (None, None)
-    return replace(degree_report(indeg, xmin), diameter=diam, avg_path_length=apl,
-                   avg_clustering=clustering(g)[1])
+    """degree_report of g's in-degrees, so a bad xmin is rejected before any
+    structural work, with the structural fields then filled in: average
+    clustering always, path statistics when with_paths is set (all-source
+    BFS is the expensive part)."""
+    report = degree_report(g.degrees_snapshot()[0], xmin)
+    report.avg_clustering = clustering(g)[1]
+    if with_paths:
+        report.diameter, report.avg_path_length = path_stats(g)
+    return report

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from netforge import DirectedGraph, exact_expected_indegree, experiment
+from netforge import DirectedGraph, exact_expected_indegree, experiment, metrics
 from netforge.theory import CURVE_FUNCS
 from netforge.cli import main
 
@@ -158,6 +158,17 @@ class TestMetrics:
             code, out, err = run(capsys, "metrics", "--in", str(edges), "--xmin", "0")
         assert code == 1 and out == ""
         assert err.startswith("error:") and "xmin" in err
+
+    def test_bad_xmin_exit_1_before_structural_work(self, tmp_path, capsys, monkeypatch):
+        def no_structure(g):
+            raise AssertionError("clustering or path statistics ran before xmin was checked")
+        monkeypatch.setattr(metrics, "path_stats", no_structure)
+        monkeypatch.setattr(metrics, "clustering", no_structure)
+        edges = tmp_path / "g.csv"
+        edges.write_text("".join(f"{i},1\n" for i in range(2, 80)))
+        code, out, err = run(capsys, "metrics", "--in", str(edges), "--full", "--xmin", "0")
+        assert code == 1 and out == ""
+        assert err.startswith("error: xmin must be") and len(err.splitlines()) == 1
 
     def test_empty_input_needs_n(self, tmp_path, capsys):
         edges = tmp_path / "empty.csv"

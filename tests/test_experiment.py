@@ -443,6 +443,11 @@ class TestSmallWorldScaling:
             assert r.mean_apl <= r.mean_diameter
             assert r.log2_n == pytest.approx(np.log2(r.n))
 
+    def test_numpy_sizes_give_python_rows(self):
+        rows = small_world_scaling("meritocracy", [np.int64(100)], 3, runs=1)
+        assert type(rows[0].n) is int
+        assert json.loads(json.dumps([dataclasses.asdict(r) for r in rows]))[0]["n"] == 100
+
     def test_no_reachable_pair_reports_none(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")

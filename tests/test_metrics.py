@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import os
 import subprocess
 import sys
@@ -579,6 +580,21 @@ class TestReport:
         assert rep.gini == 0.0
         assert rep.diameter is None
         assert rep.avg_clustering == 0.0
+
+    def test_bad_xmin_rejected_before_structural_work(self, monkeypatch):
+        def no_structure(g):
+            raise AssertionError("clustering or path statistics ran before xmin was checked")
+        monkeypatch.setattr(metrics, "path_stats", no_structure)
+        monkeypatch.setattr(metrics, "clustering", no_structure)
+        with pytest.raises(ValueError, match="xmin"):
+            compute_report(chain3(), xmin=0, with_paths=True)
+
+    def test_numpy_xmin_stored_as_python_int(self):
+        g = generate(FormationConfig("meritocracy", n=300, m_cap=5, seed=1))
+        rep = compute_report(g, xmin=np.int64(3))
+        assert type(rep.xmin_used) is int and rep.xmin_used == 3
+        assert rep.alpha_hat is not None
+        assert json.loads(json.dumps(rep.to_dict()))["xmin_used"] == 3
 
     def test_paths_skipped_by_default(self):
         rep = compute_report(chain3())
