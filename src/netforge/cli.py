@@ -14,9 +14,9 @@ from dataclasses import replace
 
 import numpy as np
 
-from .experiment import (ExperimentSpec, _atomic_write, _json_text, _write_csv,
-                         _write_json, empirical_ingest, export_results, export_sweep,
-                         hybrid_sweep, run_batch)
+from .experiment import (ExperimentSpec, _json_text, _write_csv, _write_out,
+                         empirical_ingest, export_results, export_sweep, hybrid_sweep,
+                         run_batch)
 from .formation import FormationConfig, generate
 from .graph import DirectedGraph
 from .metrics import DEFAULT_XMIN, compute_report
@@ -117,20 +117,13 @@ def _load_spec(path: str) -> ExperimentSpec:
 def _cmd_generate(args) -> int:
     cfg = FormationConfig(model=_MODEL_ALIASES[args.model], n=args.n, m_cap=args.m,
                           p=args.p, density=args.density, seed=args.seed)
-    text = generate(cfg).to_edge_list()
-    if args.out:
-        _atomic_write(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _write_out(args.out, generate(cfg).to_edge_list())
     return EXIT_OK
 
 
 def _cmd_theory(args) -> int:
     curve = CURVE_FUNCS[args.formula](args.n, args.m)
-    if args.out:
-        _write_csv(args.out, curve.header, *curve.columns)
-    else:
-        sys.stdout.write(curve.to_csv())
+    _write_csv(args.out, curve.header, *curve.columns)
     if args.check_crossing:
         report = single_crossing_index(merit_approx_curve(args.n, args.m).values,
                                        matthew_approx_curve(args.n, args.m).values)
@@ -144,7 +137,7 @@ def _cmd_theory(args) -> int:
 def _cmd_metrics(args) -> int:
     g = DirectedGraph.from_edge_list(_read(args.infile), n=args.n)
     report = compute_report(g, xmin=args.xmin, with_paths=args.full)
-    sys.stdout.write(_json_text(report.to_dict()))
+    _write_out(None, _json_text(report.to_dict()))
     return EXIT_OK
 
 
@@ -173,7 +166,7 @@ def _cmd_empirical(args) -> int:
                np.arange(1, result.n + 1), result.normalized_counts)
     summary = {"n": result.n, "gini": result.gini, "scale": result.scale,
                "target_mean": args.target_mean}
-    _write_json(os.path.join(args.out, "summary.json"), summary)
+    _write_out(os.path.join(args.out, "summary.json"), _json_text(summary))
     print(json.dumps(summary, allow_nan=False, sort_keys=True))
     return EXIT_OK
 

@@ -11,6 +11,7 @@ import itertools
 import json
 import math
 import os
+import sys
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 
 import numpy as np
@@ -55,8 +56,9 @@ class ExperimentSpec:
             if value is not None and not is_real(value):
                 raise SpecError(f"{name} must be null or a finite number, got {value!r}")
         if self.sweep is not None:
-            if not (isinstance(self.sweep, list) and all(map(is_real, self.sweep))):
-                raise SpecError(f"sweep must be null or a list of numbers, got {self.sweep!r}")
+            if not (isinstance(self.sweep, list) and self.sweep and all(map(is_real, self.sweep))):
+                raise SpecError("sweep must be null or a non-empty list of numbers,"
+                                f" got {self.sweep!r}")
             if self.model != "hybrid":
                 raise SpecError(f"sweep requires model 'hybrid', got {self.model!r}")
             labels = [f"{float(p):g}" for p in self.sweep]  # export_sweep's labels
@@ -65,7 +67,7 @@ class ExperimentSpec:
             for p in self.sweep:       # build each batch spec that hybrid_sweep runs
                 replace(self, p=float(p), sweep=None)
         # FormationConfig checks the model parameters; a sweep spec may leave p unset
-        if self.p is not None or not self.sweep:
+        if self.p is not None or self.sweep is None:
             self.config_for_run(0)
         # numpy scalars pass the checks but not json.dumps: store their Python values
         for f in fields(self):
@@ -201,7 +203,7 @@ def hybrid_sweep(spec: ExperimentSpec) -> list[SweepRow]:
     says. The headline Gini is taken over the per-node mean in-degree curve
     (the empirical estimate of each node's expected in-degree); the
     sorted-curve and per-run Ginis are reported alongside."""
-    if not spec.sweep:
+    if spec.sweep is None:
         raise SpecError("hybrid_sweep requires a non-empty spec.sweep")
     rows = []
     for p in spec.sweep:
@@ -323,12 +325,16 @@ def empirical_ingest(text: str, target_mean: float) -> EmpiricalResult:
 # -- exports -----------------------------------------------------------------
 
 
-def _atomic_write(path: str, data) -> str:
-    """Write data, a str (as UTF-8) or an iterable of byte slices, to path
-    through a temporary file and a rename. The file gets the mode
-    open(path, "w") would leave: a replaced file keeps its mode, a new one
-    gets 0o666 less the umask. When data raises, path is left as it was and
-    the temporary file is removed. Returns path."""
+def _write_out(path: str | None, data) -> str | None:
+    """Write data, a str or an iterable of byte slices, to path, or to
+    sys.stdout when path is None or "": a str as it is, each slice decoded
+    as it comes. A file is written as UTF-8 through a temporary file and a
+    rename, and gets the mode open(path, "w") would leave: a replaced file
+    keeps its mode, a new one gets 0o666 less the umask. When data raises,
+    path is left as it was and the temporary file is removed. Returns path."""
+    if not path:
+        sys.stdout.writelines([data] if isinstance(data, str) else map(bytes.decode, data))
+        return path
     if isinstance(data, str):
         data = [data.encode("utf-8")]
     tmp = os.path.join(os.path.dirname(path) or ".", f".tmp-{os.urandom(8).hex()}")
@@ -348,22 +354,18 @@ def _atomic_write(path: str, data) -> str:
     return path
 
 
-def _write_csv(path: str, header: str, *columns) -> str:
-    """Atomically write the header line and then the rows of the columns,
-    slice by slice (see lines.row_slices). Returns path."""
-    return _atomic_write(path, itertools.chain([(header + "\n").encode("utf-8")],
-                                               row_slices(columns)))
+def _write_csv(path: str | None, header: str, *columns) -> str | None:
+    """Write the header line and then the rows of the columns, slice by
+    slice (see lines.row_slices), through _write_out: to path, or to
+    sys.stdout when path is None. Returns path."""
+    return _write_out(path, itertools.chain([(header + "\n").encode("utf-8")],
+                                            row_slices(columns)))
 
 
 def _json_text(obj) -> str:
     """obj as sorted JSON indented by one space, with a final newline; NaN
     and infinities are an error."""
     return json.dumps(obj, allow_nan=False, indent=1, sort_keys=True) + "\n"
-
-
-def _write_json(path: str, obj) -> str:
-    """Atomically write _json_text(obj). Returns path."""
-    return _atomic_write(path, _json_text(obj))
 
 
 def _metrics_json(d: dict) -> str:
@@ -388,19 +390,19 @@ def export_results(rs: ResultSet, out_dir: str) -> list[str]:
     curve = rs.mean_rank_curve
     ranks = np.arange(1, len(curve) + 1)
     degrees, ccdf = (np.array(c) for c in zip(*rs.pooled_ccdf))
-    written = [_atomic_write(os.path.join(out_dir, "metrics.json"), _metrics_json(rs.to_dict())),
+    written = [_write_out(os.path.join(out_dir, "metrics.json"), _metrics_json(rs.to_dict())),
                _write_csv(os.path.join(out_dir, "rank_curve.csv"), "rank,mean_indegree",
                           ranks, curve),
                _write_csv(os.path.join(out_dir, "degree_ccdf.csv"), "indegree,ccdf",
                           degrees, ccdf)]
     if rs.spec.emit_plots:
         written += [
-            _atomic_write(os.path.join(out_dir, "rank_curve.svg"),
-                          loglog_svg(ranks, curve, "Mean in-degree vs rank", "rank",
-                                     "mean in-degree")),
-            _atomic_write(os.path.join(out_dir, "degree_ccdf.svg"),
-                          loglog_svg(degrees, ccdf, "In-degree CCDF", "in-degree",
-                                     "P[D >= d]"))]
+            _write_out(os.path.join(out_dir, "rank_curve.svg"),
+                       loglog_svg(ranks, curve, "Mean in-degree vs rank", "rank",
+                                  "mean in-degree")),
+            _write_out(os.path.join(out_dir, "degree_ccdf.svg"),
+                       loglog_svg(degrees, ccdf, "In-degree CCDF", "in-degree",
+                                  "P[D >= d]"))]
     return written
 
 
@@ -413,12 +415,12 @@ def export_sweep(rows: list[SweepRow], out_dir: str) -> list[str]:
         curve = row.result.mean_rank_curve
         written.append(_write_csv(os.path.join(out_dir, f"rank_curve_p{row.p:g}.csv"),
                                   "rank,mean_indegree", np.arange(1, len(curve) + 1), curve))
-    written.append(_atomic_write(
+    written.append(_write_out(
         os.path.join(out_dir, "sweep_gini.csv"),
         "p,gini_expected_curve,gini_rank_curve,gini_run_mean,gini_run_sd\n"
         + "".join("%g,%.12g,%.12g,%.12g,%.12g\n" % (
             row.p, row.gini_expected_curve, row.gini_rank_curve, row.gini_run_mean,
             row.gini_run_sd) for row in rows)))
-    written.append(_write_json(os.path.join(out_dir, "provenance.json"),
-                               [row.result.provenance for row in rows]))
+    written.append(_write_out(os.path.join(out_dir, "provenance.json"),
+                              _json_text([row.result.provenance for row in rows])))
     return written

@@ -45,6 +45,7 @@ class FormationConfig:
             if not is_real(self.p) or not 0.0 <= self.p <= 1.0:
                 raise ConfigError(f"hybrid requires p in [0,1], got {self.p!r}")
         if self.model == "er_directed":
+            check_range(ConfigError, "n", self.n, 2, 2 ** 31 + 1)   # n * (n - 1) < 2**62
             if not is_real(self.density) or not 0.0 <= self.density <= 1.0:
                 raise ConfigError(f"er_directed requires density in [0,1], got {self.density!r}")
 
@@ -343,10 +344,13 @@ def generate_er_directed(config: FormationConfig) -> DirectedGraph:
         last = -1                           # last pair index drawn so far
         batch = max(64, int(1.2 * total * q) + 16)
         while last < total:
-            # a gap clipped to total + 1 still ends past the last pair, and cannot overflow
+            # a gap clipped to total + 1 still ends past the last pair; the
+            # sums up to the first one past it are < 2 * total < 2**63, so
+            # exact, and later ones may wrap
             steps = np.cumsum(np.minimum(rng.geometric(q, size=batch), total + 1)) + last
-            positions.append(steps[steps < total])
-            last = int(steps[-1])
+            below = np.logical_and.accumulate(steps < total)
+            positions.append(steps[below])
+            last = int(steps[-1]) if below[-1] else total
         hit = np.concatenate(positions)
     src = hit // (n - 1)
     rem = hit % (n - 1)

@@ -93,7 +93,7 @@ def scan_lines(text: str, regular, parse_line):
 # sign or separator is NUL). Every field takes whole 4-byte words of
 # the line, so that its digits go in as uint32 words, four at a time, from
 # 10**4-entry tables. A field starts with a word that holds its separator and
-# three NULs; in the first field the separator is the `end` of the row before.
+# three NULs; in the first field the separator is the "\n" of the row before.
 
 SLICE = 1 << 13     # rows formatted at once: bounds the temporaries
 
@@ -286,24 +286,22 @@ def _field(values):
     raise TypeError("a column is an integer or float array, or a Fixed2")
 
 
-def row_slices(columns, end: str = "\n"):
+def row_slices(columns):
     """The lines of a CSV table as UTF-8 byte slices, one per SLICE rows and
-    then `end`: for each row, its entry of every column, joined by "," and
-    ended by `end`, one ASCII character other than NUL. A column is a non-negative integer
-    array (written as %d), a float array (as %.12g) or a Fixed2 of floats
-    (as %.2f); every column has the same length. Columns are checked when
-    the first slice is taken, and each slice is formatted as it is taken,
-    so memory stays at one slice's."""
-    if len(end) != 1 or not end.isascii() or end == "\0":
-        raise ValueError(f"end must be one ASCII character other than NUL, got {end!r}")
+    then the last "\n": for each row, its entry of every column, joined by
+    "," and ended by "\n". A column is a non-negative integer array (written
+    as %d), a float array (as %.12g) or a Fixed2 of floats (as %.2f); every
+    column has the same length. Columns are checked when the first slice is
+    taken, and each slice is formatted as it is taken, so memory stays at
+    one slice's."""
     fields = [_field(c) for c in columns]
     n = len(fields[0].values) if fields else 0
     if any(len(f.values) != n for f in fields):
         raise ValueError("columns differ in length")
     if not n:
         return
-    # each row starts with `end` in place of the first field's separator
-    line = np.frombuffer(end.encode() + b"".join(f.template for f in fields)[1:], dtype=np.uint8)
+    # each row starts with "\n" in place of the first field's separator
+    line = np.frombuffer(b"\n" + b"".join(f.template for f in fields)[1:], dtype=np.uint8)
     stops = np.cumsum([len(f.template) for f in fields])
     block = np.tile(line, (min(n, SLICE), 1))
     for lo in range(0, n, SLICE):
@@ -312,10 +310,10 @@ def row_slices(columns, end: str = "\n"):
         for f, stop in zip(fields, stops):
             f.write(lo, hi, text[:, stop - len(f.template):stop])
         piece = text.tobytes().translate(None, b"\0")
-        yield piece[1:] if lo == 0 else piece   # no `end` before the first row
-    yield end.encode()
+        yield piece[1:] if lo == 0 else piece   # no "\n" before the first row
+    yield b"\n"
 
 
-def rows(columns, end: str = "\n") -> str:
-    """The text of row_slices(columns, end), as one string."""
-    return b"".join(row_slices(columns, end)).decode("utf-8")
+def rows(columns) -> str:
+    """The text of row_slices(columns), as one string."""
+    return b"".join(row_slices(columns)).decode("utf-8")

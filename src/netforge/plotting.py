@@ -75,7 +75,7 @@ def loglog_svg(x, y, title: str, xlabel: str, ylabel: str) -> str:
                          f'stroke="black"/>')
             parts.append(f'<text x="{x0 - 8}" y="{py + 4:.1f}" text-anchor="end" '
                          f'font-size="11">1e{int(math.log10(t))}</text>')
-        coords = rows([Fixed2(sx(lx)), Fixed2(sy(ly))], end=" ")[:-1]
+        coords = rows([Fixed2(sx(lx)), Fixed2(sy(ly))])[:-1].replace("\n", " ")
         parts.append(f'<polyline points="{coords}" fill="none" stroke="#1f6fb2" '
                      f'stroke-width="1.5"/>')
     parts.append("</svg>")

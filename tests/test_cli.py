@@ -10,7 +10,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from netforge import DirectedGraph, exact_expected_indegree, experiment, metrics
+from netforge import (DirectedGraph, exact_expected_indegree, experiment, formation,
+                      metrics, theory)
 from netforge.theory import CURVE_FUNCS
 from netforge.cli import main
 
@@ -61,6 +62,16 @@ class TestGenerate:
         assert err.startswith("error:") and len(err.splitlines()) == 1
         assert "seed" in err and "-1" in err
 
+    @pytest.mark.parametrize("n", [2 ** 31 + 1, 3037000500, 3037000501])
+    def test_er_node_count_bound_exit_1(self, capsys, monkeypatch, n):
+        # ER pair indices n * (n - 1) stay below 2**62: a larger n is
+        # rejected before any draw
+        monkeypatch.setitem(formation._GENERATORS, "er_directed", _no_batch)
+        code, out, err = run(capsys, "generate", "--model", "er", "--n", str(n), "--m", "1",
+                             "--density", "1e-18", "--seed", "0")
+        assert code == 1 and out == ""
+        assert err == f"error: n must be an integer in [2, 2147483649), got {n}\n"
+
     @pytest.mark.parametrize("flag, value, message", [
         ("--p", "-1e-3", "error: hybrid requires p in [0,1], got -0.001\n"),
         ("--density", "-inf", "error: er_directed requires density in [0,1], got -inf\n")])
@@ -96,6 +107,17 @@ class TestTheory:
                            "--m", "2")
         assert code == 0
         assert out == exact_expected_indegree(3, 2).to_csv()
+
+    def test_stdout_streams_the_out_file(self, tmp_path, capsys, monkeypatch):
+        # stdout is written slice by slice, as --out is, never as one text
+        def whole_text(columns):
+            raise AssertionError("the curve was built as one string")
+        monkeypatch.setattr(theory, "rows", whole_text)
+        argv = ["theory", "--formula", "exact", "--n", "5", "--m", "2"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert run(capsys, *argv, "--out", str(tmp_path / "c.csv"))[0] == 0
+        assert out.encode() == (tmp_path / "c.csv").read_bytes()
 
     def test_check_crossing_ok(self, capsys):
         code, _, err = run(capsys, "theory", "--formula", "merit-approx",
@@ -284,6 +306,17 @@ class TestExperiment:
         assert err.startswith("error:") and "1.5" in err and len(err.splitlines()) == 1
         assert not out_dir.exists()
 
+    def test_empty_sweep_p_exit_1(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(experiment, "generate", _no_batch)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"model": "hybrid", "n": 20, "m_cap": 2, "p": 0.5}))
+        out_dir = tmp_path / "out"
+        code, out, err = run(capsys, "sweep", "--spec", str(spec), "--out", str(out_dir),
+                             "--p", ",")
+        assert code == 1 and out == ""
+        assert err == "error: sweep must be null or a non-empty list of numbers, got []\n"
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("command", ["experiment", "sweep"])
     def test_sweep_on_non_hybrid_exit_1(self, tmp_path, capsys, monkeypatch, command):
         monkeypatch.setattr(experiment, "generate", _no_batch)
@@ -365,7 +398,10 @@ class TestExperiment:
         ("[1]", "spec must be a JSON object"), ("3", "spec must be a JSON object"),
         ("null", "spec must be a JSON object"),
         ('{"model": "hybrid", "n": 10, "sweep": 5}', "sweep must be"),
-        ('{"model": "hybrid", "n": 10, "sweep": ["0.5"]}', "sweep must be")])
+        ('{"model": "hybrid", "n": 10, "sweep": ["0.5"]}', "sweep must be"),
+        ('{"model": "hybrid", "n": 10, "sweep": []}', "sweep must be null or a non-empty"),
+        ('{"model": "hybrid", "n": 10, "p": 0.5, "sweep": []}',
+         "sweep must be null or a non-empty")])
     def test_malformed_spec_exit_1(self, tmp_path, capsys, command, text, message):
         spec = tmp_path / "spec.json"
         spec.write_text(text)
@@ -659,6 +695,10 @@ def _exit_code(argv, time_limit):
                                       "5", "--seed", "1", "--p", "0.5", "--density", "0.5"]})
 @example(argv=["generate", "--model", "er", "--n", "50", "--m", "1", "--seed", "0",
                "--p", "0.0", "--density", "5e-324"])
+@example(argv=["generate", "--model", "er", "--n", "3037000501", "--m", "1", "--seed", "0",
+               "--p", "0.0", "--density", "1e-18"])     # n * (n - 1) >= 2**63
+@example(argv=["generate", "--model", "er", "--n", "3037000500", "--m", "1", "--seed", "0",
+               "--p", "0.0", "--density", "1e-18"])
 @example(argv=["generate", "--model", "hybrid", "--n", "3", "--m", "2", "--seed", "0",
                "--p", "0.9999999999999999", "--density", "0.0"])
 def test_fuzz_generate_exit_codes(argv, time_limit):

@@ -277,7 +277,7 @@ class TestExports:
     def test_new_export_gets_the_mode_open_gives(self, tmp_path, umask):
         old = os.umask(umask)
         try:
-            experiment._atomic_write(str(tmp_path / "export.csv"), "a\n")
+            experiment._write_out(str(tmp_path / "export.csv"), "a\n")
             with open(tmp_path / "plain.csv", "w") as fh:
                 fh.write("a\n")
         finally:
@@ -290,7 +290,7 @@ class TestExports:
         path = tmp_path / "export.csv"
         path.write_text("old\n")
         os.chmod(path, 0o640)
-        experiment._atomic_write(str(path), "new\n")
+        experiment._write_out(str(path), "new\n")
         assert stat.S_IMODE(os.stat(path).st_mode) == 0o640
         assert path.read_text() == "new\n"
         assert os.listdir(tmp_path) == ["export.csv"]     # no temporary file left

@@ -479,6 +479,24 @@ class TestErDirected:
         assert g.edge_count == 0
         g.check_invariants()
 
+    def test_node_count_bound(self):
+        cfg(model="er_directed", n=2 ** 31, m_cap=1, density=0.0)     # n * (n - 1) < 2**62
+        with pytest.raises(ConfigError, match=r"n must be an integer in \[2, 2147483649\)"):
+            cfg(model="er_directed", n=2 ** 31 + 1, m_cap=1, density=0.0)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_huge_sparse_ids_in_range(self, monkeypatch, seed):
+        # the gap sums past the last pair index once wrapped past 2**63 into
+        # negative ids; the graph itself (8 GB of in-degrees) is not built
+        n = 10 ** 9
+        monkeypatch.setattr(DirectedGraph, "_from_out_adj",
+                            classmethod(lambda cls, *args: args))
+        size, src, dst = generate_er_directed(cfg(model="er_directed", n=n, m_cap=1,
+                                                  density=1e-20, seed=seed))
+        assert size == n
+        assert np.all((1 <= src) & (src <= n)) and np.all((1 <= dst) & (dst <= n))
+        assert not np.any(src == dst)
+
     def test_expected_edge_count(self):
         n, q = 400, 0.01
         counts = [generate_er_directed(cfg(model="er_directed", n=n, m_cap=1,
