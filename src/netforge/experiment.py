@@ -17,7 +17,7 @@ from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 import numpy as np
 
 from . import __version__
-from .formation import FormationConfig, generate, is_real
+from .formation import FormationConfig, _python_numbers, generate, is_real
 from .graph import check_range
 from .lines import digit_runs, rint_scaled, row_slices, scan_lines
 from .metrics import (DEFAULT_XMIN, MetricsReport, compute_report,
@@ -51,29 +51,24 @@ class ExperimentSpec:
             value = getattr(self, name)
             if not isinstance(value, bool):
                 raise SpecError(f"{name} must be true or false, got {value!r}")
-        for name in ("p", "density"):       # for every model, not only the one using it
-            value = getattr(self, name)
-            if value is not None and not is_real(value):
-                raise SpecError(f"{name} must be null or a finite number, got {value!r}")
         if self.sweep is not None:
             if not (isinstance(self.sweep, list) and self.sweep and all(map(is_real, self.sweep))):
                 raise SpecError("sweep must be null or a non-empty list of numbers,"
                                 f" got {self.sweep!r}")
             if self.model != "hybrid":
                 raise SpecError(f"sweep requires model 'hybrid', got {self.model!r}")
-            labels = [f"{float(p):g}" for p in self.sweep]  # export_sweep's labels
+            labels = [_label(batch.p) for batch in self._batches()]
             if len(set(labels)) < len(labels):
                 raise SpecError(f"sweep p values must have distinct labels, got {labels}")
-            for p in self.sweep:       # build each batch spec that hybrid_sweep runs
-                replace(self, p=float(p), sweep=None)
         # FormationConfig checks the model parameters; a sweep spec may leave p unset
         if self.p is not None or self.sweep is None:
             self.config_for_run(0)
-        # numpy scalars pass the checks but not json.dumps: store their Python values
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, np.generic):
-                object.__setattr__(self, f.name, value.item())
+        _python_numbers(self)
+
+    def _batches(self) -> list[ExperimentSpec]:
+        """The batch spec of each sweep value, in sweep order; + 0.0 makes a
+        -0 the value 0."""
+        return [replace(self, p=float(p) + 0.0, sweep=None) for p in self.sweep]
 
     def config_for_run(self, run: int) -> FormationConfig:
         try:
@@ -158,6 +153,17 @@ class ResultSet:
         }
 
 
+def _label(p: float) -> str:
+    """A sweep value as its file names and its sweep_gini.csv row write it."""
+    return f"{p:g}"
+
+
+def _map_runs(spec: ExperimentSpec, per_graph) -> list:
+    """per_graph(graph) for each run of spec, in run order, where run r's
+    graph is drawn with seed seed_base + r: the one loop over a batch's runs."""
+    return [per_graph(generate(spec.config_for_run(r))) for r in range(spec.runs)]
+
+
 def _round12(values: np.ndarray) -> list[float]:
     """[round(v, 12) for v in values.tolist()], bit for bit: round gives the
     float nearest the decimal r / 10**12, where r is the integer nearest
@@ -179,10 +185,8 @@ def run_batch(spec: ExperimentSpec) -> ResultSet:
     if spec.sweep is not None:
         raise SpecError("run_batch runs one batch; a spec with a sweep needs hybrid_sweep"
                         " (netforge sweep)")
-    return ResultSet(spec=spec, reports=[
-        compute_report(generate(spec.config_for_run(r)), xmin=spec.xmin,
-                       with_paths=spec.full_metrics)
-        for r in range(spec.runs)])
+    return ResultSet(spec=spec, reports=_map_runs(spec, lambda g: compute_report(
+        g, xmin=spec.xmin, with_paths=spec.full_metrics)))
 
 
 @dataclass(eq=False)    # holds a ResultSet: == is identity
@@ -206,14 +210,12 @@ def hybrid_sweep(spec: ExperimentSpec) -> list[SweepRow]:
     if spec.sweep is None:
         raise SpecError("hybrid_sweep requires a non-empty spec.sweep")
     rows = []
-    for p in spec.sweep:
-        batch = replace(spec, p=float(p), sweep=None)
-        rs = ResultSet(spec=batch, reports=[
-            degree_report(generate(batch.config_for_run(r)).in_degree, xmin=batch.xmin)
-            for r in range(batch.runs)])
+    for batch in spec._batches():
+        rs = ResultSet(spec=batch, reports=_map_runs(
+            batch, lambda g: degree_report(g.in_degree, xmin=spec.xmin)))
         run_gini = rs.scalar_stats["gini"]
         rows.append(SweepRow(
-            p=float(p),
+            p=batch.p,
             gini_expected_curve=gini(rs.per_node_mean_indegree),
             gini_rank_curve=gini(rs.mean_rank_curve),
             gini_run_mean=run_gini["mean"],
@@ -242,15 +244,9 @@ def small_world_scaling(model: str, n_list: list[int], m_cap: int, runs: int,
     for n in n_list:
         spec = ExperimentSpec(model=model, n=n, m_cap=m_cap, density=density, runs=runs,
                               seed_base=seed_base)
-        diams, apls = [], []
-        for r in range(spec.runs):
-            diam, apl = path_stats(generate(spec.config_for_run(r)))
-            if diam is not None:
-                diams.append(diam)
-                apls.append(apl)
-        rows.append(ScalingRow(n=spec.n,
-                               mean_diameter=float(np.mean(diams)) if diams else None,
-                               mean_apl=float(np.mean(apls)) if apls else None,
+        reached = [s for s in _map_runs(spec, path_stats) if s.diameter is not None]
+        diam, apl = (float(np.mean(v)) for v in zip(*reached)) if reached else (None, None)
+        rows.append(ScalingRow(n=spec.n, mean_diameter=diam, mean_apl=apl,
                                log2_n=math.log2(n)))
     return rows
 
@@ -413,13 +409,13 @@ def export_sweep(rows: list[SweepRow], out_dir: str) -> list[str]:
     written = []
     for row in rows:
         curve = row.result.mean_rank_curve
-        written.append(_write_csv(os.path.join(out_dir, f"rank_curve_p{row.p:g}.csv"),
+        written.append(_write_csv(os.path.join(out_dir, f"rank_curve_p{_label(row.p)}.csv"),
                                   "rank,mean_indegree", np.arange(1, len(curve) + 1), curve))
     written.append(_write_out(
         os.path.join(out_dir, "sweep_gini.csv"),
         "p,gini_expected_curve,gini_rank_curve,gini_run_mean,gini_run_sd\n"
-        + "".join("%g,%.12g,%.12g,%.12g,%.12g\n" % (
-            row.p, row.gini_expected_curve, row.gini_rank_curve, row.gini_run_mean,
+        + "".join("%s,%.12g,%.12g,%.12g,%.12g\n" % (
+            _label(row.p), row.gini_expected_curve, row.gini_rank_curve, row.gini_run_mean,
             row.gini_run_sd) for row in rows)))
     written.append(_write_out(os.path.join(out_dir, "provenance.json"),
                               _json_text([row.result.provenance for row in rows])))

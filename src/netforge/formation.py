@@ -9,7 +9,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -24,6 +24,16 @@ def is_real(value) -> bool:
     """True for finite Python/numpy ints and floats; False for bool, str, None."""
     return ((is_integer(value) or isinstance(value, (float, np.floating)))
             and math.isfinite(value))
+
+
+def _python_numbers(obj) -> None:
+    """Store each numpy-scalar field of the frozen dataclass obj as its Python
+    value: numpy scalars pass the checks, but not json.dumps, and fixed-width
+    ints wrap where Python ints grow."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if isinstance(value, np.generic):
+            object.__setattr__(obj, f.name, value.item())
 
 
 @dataclass(frozen=True)
@@ -48,6 +58,11 @@ class FormationConfig:
             check_range(ConfigError, "n", self.n, 2, 2 ** 31 + 1)   # n * (n - 1) < 2**62
             if not is_real(self.density) or not 0.0 <= self.density <= 1.0:
                 raise ConfigError(f"er_directed requires density in [0,1], got {self.density!r}")
+        for name in ("p", "density"):       # for every model, not only the one using it
+            value = getattr(self, name)
+            if value is not None and not is_real(value):
+                raise ConfigError(f"{name} must be null or a finite number, got {value!r}")
+        _python_numbers(self)
 
 
 def _uniforms(rng: np.random.Generator):
@@ -239,7 +254,7 @@ def generate_matthew(config: FormationConfig) -> DirectedGraph:
     """Capped preferential attachment (the Matthew model): source uniform among
     nodes with out-degree < m_cap, target weight in-degree + 1, illegal targets
     redrawn. Terminates with exactly m_cap * n edges. See `_capped_pa`."""
-    return _capped_pa(int(config.n), int(config.m_cap), config.seed)
+    return _capped_pa(config.n, config.m_cap, config.seed)
 
 
 # -- hybrid: per-node attempt clocks ----------------------------------------
@@ -321,10 +336,10 @@ def generate_hybrid(config: FormationConfig) -> DirectedGraph:
     samplers, so for the same seed p = 0 gives the graph of `generate_matthew`
     and p = 1 that of `generate_meritocracy`."""
     if config.p == 0:
-        return _capped_pa(int(config.n), int(config.m_cap), config.seed)
+        return _capped_pa(config.n, config.m_cap, config.seed)
     if config.p == 1:
         return _meritocracy(config.n, config.m_cap, config.seed)
-    return _hybrid(int(config.n), int(config.m_cap), float(config.p), config.seed)
+    return _hybrid(config.n, config.m_cap, config.p, config.seed)
 
 
 # -- directed Erdos-Renyi ----------------------------------------------------

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import re
 import shutil
 import warnings
@@ -82,6 +83,15 @@ class TestGenerate:
         code, out, err = run(capsys, "generate", "--model", model, "--n", "10",
                              "--m", "2", "--seed", "1", flag, value)
         assert code == 1 and out == "" and err == message
+
+    @pytest.mark.parametrize("model, flag, value", [
+        ("merit", "--p", "nan"), ("matthew", "--density", "inf"), ("hybrid", "--density", "nan")])
+    def test_unused_non_finite_p_or_density_exit_1(self, capsys, model, flag, value):
+        # the same check as a spec's: every model rejects a non-finite p or density
+        code, out, err = run(capsys, "generate", "--model", model, "--n", "4", "--m", "2",
+                             "--seed", "0", "--p", "0.5", flag, value)
+        assert code == 1 and out == ""
+        assert err == f"error: {flag[2:]} must be null or a finite number, got {value}\n"
 
     def test_hybrid_p_just_below_1_finishes(self, capsys, time_limit):
         # nodes at merit equilibrium still fill through their Matthew attempts
@@ -294,6 +304,29 @@ class TestExperiment:
         assert code == 1 and out == ""
         assert err.startswith("error: sweep p values") and len(err.splitlines()) == 1
         assert not out_dir.exists()
+
+    def test_negative_zero_sweep_repeats_zero_exit_1(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(experiment, "generate", _no_batch)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"model": "hybrid", "n": 20, "m_cap": 2, "p": 0.5}))
+        out_dir = tmp_path / "out"
+        code, out, err = run(capsys, "sweep", "--spec", str(spec), "--out", str(out_dir),
+                             "--p", "0,-0")
+        assert code == 1 and out == ""
+        assert err == "error: sweep p values must have distinct labels, got ['0', '0']\n"
+        assert not out_dir.exists()
+
+    def test_negative_zero_sweep_value_is_zero(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"model": "hybrid", "n": 20, "m_cap": 2, "p": 0.5}))
+        out_dir = tmp_path / "out"
+        assert run(capsys, "sweep", "--spec", str(spec), "--out", str(out_dir),
+                   "--p", "-0")[0] == 0
+        assert sorted(f.name for f in out_dir.iterdir()) == [
+            "provenance.json", "rank_curve_p0.csv", "sweep_gini.csv"]
+        assert (out_dir / "sweep_gini.csv").read_text().splitlines()[1].startswith("0,")
+        (batch,) = json.loads((out_dir / "provenance.json").read_text())
+        assert math.copysign(1, batch["spec"]["p"]) == 1
 
     def test_sweep_p_out_of_range_exit_1(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(experiment, "generate", _no_batch)

@@ -435,6 +435,24 @@ class TestSweep:
             hybrid_sweep(spec(model="hybrid", n=20, m_cap=2, p=0.5, sweep=sweep))
 
 
+def test_every_run_loop_draws_seeds_seed_base_on(monkeypatch):
+    # run_batch, each hybrid_sweep batch and each small_world_scaling size
+    # draw runs seed_base ... seed_base + runs - 1, in run order
+    seeds, generate = [], experiment.generate
+    def recording(config):
+        seeds.append(config.seed)
+        return generate(config)
+    monkeypatch.setattr(experiment, "generate", recording)
+    run_batch(spec(runs=3, seed_base=7))
+    assert seeds == [7, 8, 9]
+    seeds.clear()
+    hybrid_sweep(spec(model="hybrid", n=20, m_cap=2, runs=2, seed_base=4, sweep=[0.2, 0.8]))
+    assert seeds == [4, 5, 4, 5]
+    seeds.clear()
+    small_world_scaling("matthew", [20, 30, 40], m_cap=2, runs=3, seed_base=11)
+    assert seeds == [11, 12, 13] * 3
+
+
 class TestSmallWorldScaling:
     def test_smoke(self):
         rows = small_world_scaling("matthew", [50, 100], m_cap=3, runs=2)

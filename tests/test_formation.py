@@ -1,3 +1,4 @@
+import warnings
 from collections import Counter, defaultdict
 
 import numpy as np
@@ -166,7 +167,10 @@ class TestConfig:
         ("hybrid", "p", "0.5"), ("hybrid", "p", True), ("hybrid", "p", float("nan")),
         ("er_directed", "density", "x"), ("er_directed", "density", False),
         ("er_directed", "density", float("inf")),
-        ("matthew", "seed", -1), ("matthew", "seed", 1.5)])
+        ("matthew", "seed", -1), ("matthew", "seed", 1.5),
+        # every model checks p and density, not only the one that reads it
+        ("meritocracy", "p", float("nan")), ("matthew", "density", float("inf")),
+        ("hybrid", "density", "y"), ("er_directed", "p", [1])])
     def test_mistyped_fields_rejected(self, model, key, value):
         base = {"model": model, "n": 10, "m_cap": 2, "p": 0.5, "density": 0.1}
         with pytest.raises(ConfigError, match=key):
@@ -188,6 +192,20 @@ class TestConfig:
     def test_numpy_scalars_accepted(self):
         c = cfg(model="hybrid", n=np.int64(10), m_cap=np.int32(2), p=np.float64(0.5))
         assert generate(c).edge_count == 20
+
+    def test_numpy_scalars_stored_as_python_numbers(self):
+        # an int32 n would wrap in the ER pair count n * (n - 1)
+        c = cfg(model="er_directed", n=np.int32(50_000), m_cap=np.int16(1),
+                density=np.float32(1e-6), seed=np.uint8(1), p=np.float64(0.5))
+        assert [type(v) for v in (c.n, c.m_cap, c.density, c.seed, c.p)] == [
+            int, int, float, int, float]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g = generate(cfg(model="er_directed", n=np.int32(50_000), m_cap=1,
+                             density=1e-6, seed=1))
+        want = generate(cfg(model="er_directed", n=50_000, m_cap=1, density=1e-6, seed=1))
+        assert g.edge_count == want.edge_count > 0
+        assert followees(g) == followees(want)
 
 
 class TestMeritocracy:
