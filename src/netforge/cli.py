@@ -167,7 +167,7 @@ def _cmd_empirical(args) -> int:
     summary = {"n": result.n, "gini": result.gini, "scale": result.scale,
                "target_mean": args.target_mean}
     _write_out(os.path.join(args.out, "summary.json"), _json_text(summary))
-    print(json.dumps(summary, allow_nan=False, sort_keys=True))
+    _write_out(None, json.dumps(summary, allow_nan=False, sort_keys=True) + "\n")
     return EXIT_OK
 
 

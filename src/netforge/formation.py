@@ -111,16 +111,14 @@ def merit_followee_matrix(n: int, m_cap: int, rng: np.random.Generator,
     r = rng.integers(1, n, size=total)      # uniform over n-1 candidates
     r = r + (r >= ids)                      # skip self
     out[:, 0] = r
-    active = r != best
+    live = np.flatnonzero(r != best)        # ascending rows still drawing
     for k in range(1, m_cap):
-        if not active.any():
+        if not len(live):
             break
-        draw = _beating(rng, ids[active], r[active])
-        r[active] = draw
-        out[active, k] = draw
-        nxt = active.copy()
-        nxt[active] = draw != best[active]
-        active = nxt
+        draw = _beating(rng, ids[live], r[live])
+        r[live] = draw
+        out[live, k] = draw
+        live = live[draw != best[live]]
     return out
 
 

@@ -48,10 +48,13 @@ def degree_distribution(indegrees) -> tuple[dict[int, int], list[tuple[int, floa
     """Histogram of in-degrees and the CCDF as sorted (d, P[D >= d]) pairs.
 
     The CCDF starts at 1 (its first point is the minimum observed in-degree)
-    and is monotone non-increasing.
+    and is monotone non-increasing. Float in-degrees must be integers in
+    int64 range; any other (1.5, NaN, inf) raises ValueError.
     """
-    d = np.asarray(indegrees, dtype=np.int64)
-    values, counts = np.unique(d, return_counts=True)
+    d = np.asarray(indegrees)
+    if d.dtype.kind == "f" and not np.all((abs(d) < 2.0 ** 63) & (d == np.trunc(d))):
+        raise ValueError("degree_distribution requires integer in-degrees")
+    values, counts = np.unique(np.asarray(indegrees, dtype=np.int64), return_counts=True)
     n = len(d)
     ccdf = (n - np.cumsum(counts) + counts) / n
     values = values.tolist()
@@ -62,9 +65,12 @@ def fit_power_law(indegrees, xmin: int = DEFAULT_XMIN) -> float:
     """Discrete power-law exponent by the continuous-MLE approximation:
     alpha = 1 + n_tail / sum(log(d / (xmin - 0.5))) over observations >= xmin.
     Deterministic for fixed input. Requires an integer xmin in [1, 2**62),
-    the range of an in-degree, and at least 50 tail observations."""
+    the range of an in-degree, finite input and at least 50 tail
+    observations."""
     check_range(ValueError, "xmin", xmin, 1)
     d = np.asarray(indegrees, dtype=float)
+    if not np.isfinite(d).all():
+        raise ValueError("fit_power_law requires finite values")
     tail = d[d >= xmin]
     if len(tail) < 50:
         raise InsufficientDataError(
@@ -78,12 +84,12 @@ def fit_power_law(indegrees, xmin: int = DEFAULT_XMIN) -> float:
 def gini(values) -> float:
     """Mean absolute pairwise difference normalized by twice the mean,
     computed via the sorted O(n log n) form. Scale-invariant; requires
-    non-negative values that are not all zero."""
+    finite non-negative values that are not all zero."""
     x = np.asarray(values, dtype=float)
     if x.ndim != 1 or len(x) == 0:
         raise ValueError("gini requires a non-empty 1-d array")
-    if np.any(x < 0):
-        raise ValueError("gini requires non-negative values")
+    if not np.all(np.isfinite(x) & (x >= 0)):
+        raise ValueError("gini requires finite non-negative values")
     total = x.sum()
     if total == 0:
         raise ValueError("gini undefined for all-zero input")

@@ -15,13 +15,26 @@ _W, _H = 640, 480
 _ML, _MR, _MT, _MB = 70, 20, 40, 50
 
 
-def _ticks(l_min: float, l_max: float) -> list[float]:
-    """The powers of ten from 10**l_min to 10**l_max, up to 1e308, the
-    largest float one."""
+def _log_axis(values: np.ndarray, p0: int, p1: int):
+    """Place positive finite values on a log axis drawn from pixel p0 to
+    pixel p1. Returns each value's pixel and the ticks as (pixel, exponent)
+    pairs, one per power of ten in the values' range up to 1e308, the
+    largest float one. An axis over one value spans one decade."""
+    # math.log10, not np.log10, which is an ulp off on some inputs
+    lv = np.fromiter(map(math.log10, values.tolist()), dtype=np.float64, count=len(values))
+    l_min, l_max = float(lv.min()), float(lv.max())
+    if l_max == l_min:
+        l_max += 1.0
+
+    # on a float (a tick) or an array (the points), in the same operations
+    def pixel(v):
+        return p0 + (v - l_min) / (l_max - l_min) * (p1 - p0)
+
     lo, hi = 10 ** l_min, 10 ** min(l_max, 308.0)
-    first = math.floor(math.log10(lo))
-    last = min(math.ceil(math.log10(hi)), 308)
-    return [10.0 ** k for k in range(first, last + 1) if lo <= 10.0 ** k <= hi]
+    first, last = math.floor(math.log10(lo)), min(math.ceil(math.log10(hi)), 308)
+    # the log of each float power of ten, which below 1e-311 is not its k
+    ticks = [math.log10(10.0 ** k) for k in range(first, last + 1) if lo <= 10.0 ** k <= hi]
+    return pixel(lv), [(pixel(t), int(t)) for t in ticks]
 
 
 def loglog_svg(x, y, title: str, xlabel: str, ylabel: str) -> str:
@@ -46,36 +59,19 @@ def loglog_svg(x, y, title: str, xlabel: str, ylabel: str) -> str:
     parts.append(f'<text x="16" y="{(y0 + y1) / 2}" text-anchor="middle" font-size="13" '
                  f'transform="rotate(-90 16 {(y0 + y1) / 2})">{ylabel}</text>')
     if len(x):
-        # math.log10, not np.log10, which is an ulp off on some inputs
-        lx = np.fromiter(map(math.log10, x.tolist()), dtype=np.float64, count=len(x))
-        ly = np.fromiter(map(math.log10, y.tolist()), dtype=np.float64, count=len(y))
-        lx_min, lx_max = float(lx.min()), float(lx.max())
-        ly_min, ly_max = float(ly.min()), float(ly.max())
-        if lx_max == lx_min:
-            lx_max += 1.0
-        if ly_max == ly_min:
-            ly_max += 1.0
-
-        # on a float (a tick) or an array (the points), in the same operations
-        def sx(v):
-            return x0 + (v - lx_min) / (lx_max - lx_min) * (x1 - x0)
-
-        def sy(v):
-            return y0 - (v - ly_min) / (ly_max - ly_min) * (y0 - y1)
-
-        for t in _ticks(lx_min, lx_max):
-            px = sx(math.log10(t))
-            parts.append(f'<line x1="{px:.1f}" y1="{y0}" x2="{px:.1f}" y2="{y0 + 5}" '
+        px, x_ticks = _log_axis(x, x0, x1)
+        py, y_ticks = _log_axis(y, y0, y1)
+        for p, e in x_ticks:
+            parts.append(f'<line x1="{p:.1f}" y1="{y0}" x2="{p:.1f}" y2="{y0 + 5}" '
                          f'stroke="black"/>')
-            parts.append(f'<text x="{px:.1f}" y="{y0 + 20}" text-anchor="middle" '
-                         f'font-size="11">1e{int(math.log10(t))}</text>')
-        for t in _ticks(ly_min, ly_max):
-            py = sy(math.log10(t))
-            parts.append(f'<line x1="{x0 - 5}" y1="{py:.1f}" x2="{x0}" y2="{py:.1f}" '
+            parts.append(f'<text x="{p:.1f}" y="{y0 + 20}" text-anchor="middle" '
+                         f'font-size="11">1e{e}</text>')
+        for p, e in y_ticks:
+            parts.append(f'<line x1="{x0 - 5}" y1="{p:.1f}" x2="{x0}" y2="{p:.1f}" '
                          f'stroke="black"/>')
-            parts.append(f'<text x="{x0 - 8}" y="{py + 4:.1f}" text-anchor="end" '
-                         f'font-size="11">1e{int(math.log10(t))}</text>')
-        coords = rows([Fixed2(sx(lx)), Fixed2(sy(ly))])[:-1].replace("\n", " ")
+            parts.append(f'<text x="{x0 - 8}" y="{p + 4:.1f}" text-anchor="end" '
+                         f'font-size="11">1e{e}</text>')
+        coords = rows([Fixed2(px), Fixed2(py)])[:-1].replace("\n", " ")
         parts.append(f'<polyline points="{coords}" fill="none" stroke="#1f6fb2" '
                      f'stroke-width="1.5"/>')
     parts.append("</svg>")

@@ -112,11 +112,12 @@ class CrossingReport:
 def single_crossing_index(curve_a, curve_b) -> CrossingReport:
     """Count sign changes of A - B over ranks, ignoring exact ties. The
     crossing rank is the rank immediately after the last position holding the
-    previous sign. Zero or multiple crossings are reported, not raised."""
+    previous sign. Zero or multiple crossings are reported, not raised; a
+    NaN or infinite value raises ValueError."""
     a = np.asarray(curve_a, dtype=float)
     b = np.asarray(curve_b, dtype=float)
-    if a.shape != b.shape or a.ndim != 1:
-        raise ValueError("curves must be equal-length 1-d arrays")
+    if a.shape != b.shape or a.ndim != 1 or not np.isfinite([a, b]).all():
+        raise ValueError("curves must be equal-length 1-d arrays of finite values")
     diff = a - b
     signed = np.flatnonzero(diff)           # 0-based positions of the non-ties
     flips = np.flatnonzero(np.diff(np.sign(diff[signed])))

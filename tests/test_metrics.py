@@ -69,6 +69,14 @@ class TestDegreeDistribution:
         assert vals[0] == 1.0
         assert all(a >= b for a, b in zip(vals, vals[1:]))
 
+    def test_rejects_non_integer_values(self):
+        # 1.5 was truncated to 1; NaN and inf were cast with a RuntimeWarning
+        for bad in ([1.5, 2.0], [np.nan], [np.inf], [-np.inf, 1.0], [1e19]):
+            for degrees in (bad, np.array(bad)):
+                with pytest.raises(ValueError, match="integer in-degrees"):
+                    degree_distribution(degrees)
+        assert degree_distribution([1.0, 2.0, 2.0]) == degree_distribution([1, 2, 2])
+
 
 class TestPowerLawFit:
     def test_synthetic_oracle(self):
@@ -103,6 +111,15 @@ class TestPowerLawFit:
         assert fit_power_law(noise, xmin=10) == pytest.approx(
             fit_power_law(d, xmin=10), rel=1e-12)
 
+    def test_rejects_non_finite(self):
+        # 60 infinities once fit as alpha = 1.0
+        for bad in (np.inf, -np.inf, np.nan):
+            with pytest.raises(ValueError, match="finite") as exc:
+                fit_power_law([bad] + [20] * 60, xmin=1)
+            assert not isinstance(exc.value, InsufficientDataError)
+        with pytest.raises(ValueError, match="finite"):
+            fit_power_law([np.inf] * 60, xmin=1)
+
 
 class TestGini:
     def test_examples(self):
@@ -117,6 +134,12 @@ class TestGini:
             gini([0, 0])
         with pytest.raises(ValueError):
             gini([1, -1])
+
+    def test_rejects_non_finite(self):
+        # [nan, 1] and [inf, 1] once gave nan, the latter after a RuntimeWarning
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="finite non-negative"):
+                gini([bad, 1.0])
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.integers(0, 1000), min_size=1, max_size=50),

@@ -103,6 +103,7 @@ coordinates = st.floats(max_value=1e300) | st.sampled_from([math.inf, -math.inf,
 @given(st.lists(st.tuples(coordinates, coordinates), max_size=12))
 @example([(1.0, 2.0), (math.inf, 3.0)])
 @example([(1.0, 2.0), (3.0, math.nan), (-1.0, 5.0), (0.0, 1.0)])
+@example([(5e-324, 1.0), (1e-300, 2.0)])       # ticks at subnormal powers of ten
 def test_any_floats(pairs):
     check([x for x, _ in pairs], [y for _, y in pairs])
 

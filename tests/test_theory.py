@@ -160,6 +160,14 @@ class TestSingleCrossing:
         report = single_crossing_index([1, -1, 1], [0, 0, 0])
         assert report.sign_changes == 2
 
+    def test_rejects_non_finite(self):
+        # a NaN once split [1, 2, 3] vs [2, 2, 2] into two sign changes
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                single_crossing_index([1, bad, 3], [2, 2, 2])
+            with pytest.raises(ValueError, match="finite"):
+                single_crossing_index([2, 2, 2], [1, bad, 3])
+
     @settings(max_examples=300, deadline=None)
     @example(pairs=[])
     @example(pairs=[(1, 0)])
